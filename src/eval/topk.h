@@ -11,6 +11,7 @@ namespace delrec::eval {
 /// ordering srmodels::TopKFromScores has always produced (it now delegates
 /// here) and the positional RankOfTarget counts against, deduplicating the
 /// partial-sort-with-tie-break logic that used to live in each caller.
+/// k >= scores.size() returns the full order (a std::sort, not a heap sort).
 std::vector<int64_t> TopK(const std::vector<float>& scores, int64_t k);
 
 /// As above over a candidate pool with explicit item ids: returns positions

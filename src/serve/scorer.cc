@@ -30,6 +30,8 @@ class SequentialScorer : public Scorer {
     return model_->ScoreCandidates(request.history, request.candidates);
   }
 
+  // The whole batch goes to the model's batched forward: for GRU4Rec one
+  // lockstep (B, D) recurrence plus one logits GEMM per history length.
   std::vector<std::vector<float>> ScoreBatch(
       const std::vector<ScoreRequest>& requests) const override {
     std::vector<std::vector<int64_t>> histories;

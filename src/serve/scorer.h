@@ -62,7 +62,8 @@ class Scorer {
   virtual std::vector<float> Score(const ScoreRequest& request) const = 0;
 
   /// Scores a micro-batch. The default loops over Score(); implementations
-  /// with a genuinely batched path (EngineSnapshot) override it.
+  /// with a genuinely batched path (EngineSnapshot, the SR adapters)
+  /// override it.
   virtual std::vector<std::vector<float>> ScoreBatch(
       const std::vector<ScoreRequest>& requests) const;
 
@@ -73,7 +74,10 @@ class Scorer {
   /// Scores every catalog item for one history (index = item id). Only
   /// valid on backends whose Capabilities().full_catalog is true; the
   /// default CHECK-fails. Same determinism and thread-safety contract as
-  /// Score().
+  /// Score(), and bit-identical to scoring the identity pool:
+  /// ScoreCatalog(h) ≡ Score({h, [0, catalog_size)}). That equivalence is
+  /// what lets a two-tier retriever fold catalog requests into one
+  /// ScoreBatch call with explicit pools.
   virtual std::vector<float> ScoreCatalog(
       const std::vector<int64_t>& history) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,51 +66,37 @@ class TwoTierScorer : public Scorer {
 std::vector<std::vector<float>> TwoTierScorer::ScoreImpl(
     const std::vector<ScoreRequest>& requests) const {
   const size_t count = requests.size();
-  // Stage 1 — retrieve: pre-rank each request's pool with the cheap tier.
-  // Explicit candidate pools go through one batched retriever call; empty
-  // pools mean "the full catalog" (legal here because construction
-  // requires the retriever to declare full_catalog capability).
-  std::vector<std::vector<float>> retriever_scores(count);
-  {
-    std::vector<ScoreRequest> pooled;
-    std::vector<size_t> pooled_index;
-    for (size_t i = 0; i < count; ++i) {
-      if (requests[i].candidates.empty()) {
-        retriever_scores[i] = retriever_->ScoreCatalog(requests[i].history);
-      } else {
-        pooled.push_back(requests[i]);
-        pooled_index.push_back(i);
-      }
-    }
-    if (!pooled.empty()) {
-      std::vector<std::vector<float>> scores =
-          retriever_->ScoreBatch(pooled);
-      DELREC_CHECK_EQ(scores.size(), pooled.size());
-      for (size_t j = 0; j < pooled.size(); ++j) {
-        retriever_scores[pooled_index[j]] = std::move(scores[j]);
-      }
-    }
+  // Stage 1 — retrieve: one batched retriever call pre-ranks every pool.
+  // An empty pool means the full catalog and becomes the explicit pool
+  // [0, catalog_size): by the capability contract that scores exactly like
+  // ScoreCatalog (legal because construction requires full_catalog), and
+  // the whole batch reaches the retriever's batched path together.
+  const int64_t catalog_size = retriever_->Capabilities().catalog_size;
+  std::vector<ScoreRequest> pools = requests;
+  for (ScoreRequest& pool : pools) {
+    if (!pool.candidates.empty()) continue;
+    pool.candidates.resize(catalog_size);
+    std::iota(pool.candidates.begin(), pool.candidates.end(), 0);
   }
+  const std::vector<std::vector<float>> retrieved =
+      retriever_->ScoreBatch(pools);
+  DELREC_CHECK_EQ(retrieved.size(), count);
 
-  // Full retriever orderings (position indices, best first). Explicit
-  // pools tie-break by item id so the re-ranked set is pool-order
-  // invariant; catalog scores are indexed by item id already.
+  // Full retriever orderings (pool positions, best first), ties broken by
+  // item id so the re-ranked set is pool-order invariant. Over an identity
+  // pool this is exactly eval::TopK of the catalog scores.
   std::vector<std::vector<int64_t>> order(count);
   std::vector<ScoreRequest> rerank_requests(count);
   for (size_t i = 0; i < count; ++i) {
-    const std::vector<float>& scores = retriever_scores[i];
-    const int64_t n = static_cast<int64_t>(scores.size());
-    order[i] = requests[i].candidates.empty()
-                   ? eval::TopK(scores, n)
-                   : eval::TopKByIds(scores, requests[i].candidates, n);
+    const std::vector<int64_t>& pool = pools[i].candidates;
+    DELREC_CHECK_EQ(retrieved[i].size(), pool.size());
+    const int64_t n = static_cast<int64_t>(pool.size());
+    order[i] = eval::TopKByIds(retrieved[i], pool, n);
     const int64_t h = std::min<int64_t>(options_.rerank_top_h, n);
-    rerank_requests[i].history = requests[i].history;
+    rerank_requests[i].history = std::move(pools[i].history);
     rerank_requests[i].candidates.reserve(h);
     for (int64_t j = 0; j < h; ++j) {
-      rerank_requests[i].candidates.push_back(
-          requests[i].candidates.empty()
-              ? order[i][j]
-              : requests[i].candidates[order[i][j]]);
+      rerank_requests[i].candidates.push_back(pool[order[i][j]]);
     }
   }
 
@@ -126,7 +113,7 @@ std::vector<std::vector<float>> TwoTierScorer::ScoreImpl(
   // order) with no float absorption.
   std::vector<std::vector<float>> results(count);
   for (size_t i = 0; i < count; ++i) {
-    const int64_t n = static_cast<int64_t>(retriever_scores[i].size());
+    const int64_t n = static_cast<int64_t>(order[i].size());
     const int64_t h = static_cast<int64_t>(reranked[i].size());
     results[i].resize(n);
     float head_min = 0.0f;

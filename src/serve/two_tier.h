@@ -23,10 +23,10 @@ struct TwoTierOptions {
 /// Composes a cheap full-catalog retriever with an expensive candidate
 /// re-ranker behind the ordinary Scorer seam (DESIGN.md §16):
 ///
-///  1. The retriever scores the request's candidate pool (the full catalog
-///     when the request carries no explicit candidates — allowed only
-///     because the retriever declares full_catalog capability, which
-///     construction enforces).
+///  1. The retriever scores every request's candidate pool in one batched
+///     call (a request with no explicit candidates pools the full catalog
+///     [0, catalog_size) — allowed only because the retriever declares
+///     full_catalog capability, which construction enforces).
 ///  2. The top-h of the retriever ordering (ties by item id, via
 ///     eval::TopKByIds, so the selected *set* is pool-order invariant) go
 ///     to the re-ranker in one batched call.

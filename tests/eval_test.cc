@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/split.h"
 #include "eval/metrics.h"
 #include "eval/protocol.h"
 #include "eval/stats.h"
+#include "eval/topk.h"
 
 namespace delrec::eval {
 namespace {
@@ -65,6 +71,52 @@ TEST(ProtocolTest, TiedScoresRankDeterministically) {
   // than collapsing to 0 or 1.
   EXPECT_GT(a.Result().hr_at_10, 0.0);
   EXPECT_LT(a.Result().hr_at_1, 0.5);
+}
+
+// Reference full order: std::partial_sort over every position with the
+// documented comparator (score descending, then the smaller tie key).
+std::vector<int64_t> PartialSortOrder(const std::vector<float>& scores,
+                                      const std::vector<int64_t>& keys) {
+  std::vector<int64_t> order(scores.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::partial_sort(order.begin(), order.end(), order.end(),
+                    [&](int64_t a, int64_t b) {
+                      if (scores[a] != scores[b]) return scores[a] > scores[b];
+                      return keys[a] < keys[b];
+                    });
+  return order;
+}
+
+// k >= n takes the full-sort path; it must return exactly the partial_sort
+// order, with heavy ties and +0.0/-0.0 (equal under ==, so they tie and
+// break by position or id) in the scores.
+TEST(TopKTest, FullOrderMatchesPartialSortReference) {
+  const std::vector<float> palette = {0.5f, -0.0f, 0.0f, -1.25f, 0.5f, 3.0f};
+  std::mt19937_64 rng(5);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{64},
+                   size_t{550}}) {
+    std::vector<float> scores(n);
+    for (float& score : scores) score = palette[rng() % palette.size()];
+    std::vector<int64_t> positions(n);
+    std::iota(positions.begin(), positions.end(), 0);
+    std::vector<int64_t> ids(n);
+    for (size_t i = 0; i < n; ++i) ids[i] = static_cast<int64_t>(3 * i + 1);
+    std::shuffle(ids.begin(), ids.end(), rng);
+
+    const std::vector<int64_t> by_position = PartialSortOrder(scores, positions);
+    const std::vector<int64_t> by_id = PartialSortOrder(scores, ids);
+    const int64_t size = static_cast<int64_t>(n);
+    for (int64_t k : {size, size + 1, size + 100}) {
+      EXPECT_EQ(TopK(scores, k), by_position) << "n=" << n << " k=" << k;
+      EXPECT_EQ(TopKByIds(scores, ids, k), by_id) << "n=" << n << " k=" << k;
+    }
+    // k < n stays the partial_sort prefix of the same order.
+    if (n > 1) {
+      const std::vector<int64_t> head(by_position.begin(),
+                                      by_position.end() - 1);
+      EXPECT_EQ(TopK(scores, size - 1), head) << "n=" << n;
+    }
+  }
 }
 
 TEST(MetricsTest, AccumulatorValues) {

@@ -416,7 +416,12 @@ TEST_F(ServeChaosTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
   options.default_deadline_ms = 5.0;
   serve::RecommendationEngine engine(&scorer, options);
 
-  auto in_flight = engine.ScoreAsync(MakeRequest(0));
+  // The gate-holding request carries its own generous budget, so a late
+  // dispatcher can never shed it before it enters the scorer; the 5ms
+  // default applies only to the request under test.
+  serve::ScoreRequest holder = MakeRequest(0);
+  holder.deadline_ms = 60'000.0;
+  auto in_flight = engine.ScoreAsync(std::move(holder));
   scorer.AwaitEntered(1);
   const auto queued_at = std::chrono::steady_clock::now();
   auto expired = engine.ScoreAsync(MakeRequest(1));  // Inherits 5ms default.
@@ -484,15 +489,22 @@ TEST_F(ServeChaosTest, SwapUnderLoadNeverTearsAVersion) {
   serve::RecommendationEngine engine(&handle, options);
 
   std::map<uint64_t, float> version_bias{{1, 1.0f}};
+  std::vector<serve::ScoreRequest> probes;
+  std::vector<serve::ScoreResponse> probe_responses;
   std::atomic<bool> done{false};
   std::thread publisher([&] {
     for (int s = 0; s < 6; ++s) {
       const float bias = 10.0f + static_cast<float>(s);
       const uint64_t version =
           handle.Publish(std::make_shared<FakeScorer>(bias));
-      // Only the publisher writes version_bias; the main thread reads it
-      // after join(), so no synchronization beyond the join is needed.
+      // Only the publisher writes version_bias and the probe vectors; the
+      // main thread reads them after join(), so no synchronization beyond
+      // the join is needed.
       version_bias[version] = bias;
+      // Wait for one response scored after this publish: a batch then
+      // always forms between publishes, however the threads are scheduled.
+      probes.push_back(MakeRequest(1000 + s));
+      probe_responses.push_back(engine.ScoreAsync(probes.back()).get());
       std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
     done.store(true);
@@ -514,6 +526,13 @@ TEST_F(ServeChaosTest, SwapUnderLoadNeverTearsAVersion) {
     const auto bias = version_bias.find(response.snapshot_version);
     ASSERT_NE(bias, version_bias.end());
     EXPECT_EQ(response.scores, FakeScorer(bias->second).Score(sent[i]));
+  }
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const serve::ScoreResponse& response = probe_responses[i];
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    const auto bias = version_bias.find(response.snapshot_version);
+    ASSERT_NE(bias, version_bias.end());
+    EXPECT_EQ(response.scores, FakeScorer(bias->second).Score(probes[i]));
   }
   // The dispatcher only observes a version when it forms a batch, so force
   // one final batch after the last publish before pinning the stats.

@@ -8,16 +8,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/topk.h"
 #include "serve/scorer.h"
 #include "serve/two_tier.h"
+#include "srmodels/gru4rec.h"
 #include "util/status.h"
+#include "util/threadpool.h"
 
 namespace delrec {
 namespace {
@@ -260,6 +267,155 @@ TEST(TwoTierTest, CatalogRequestsUseRetrieverCatalogPath) {
   const std::vector<float> direct = reranker.Score(head_request);
   for (int64_t j = 0; j < 5; ++j) {
     EXPECT_EQ(catalog[order[j]], direct[j]);
+  }
+}
+
+std::vector<uint32_t> Bits(const std::vector<float>& scores) {
+  std::vector<uint32_t> bits;
+  bits.reserve(scores.size());
+  for (float score : scores) bits.push_back(std::bit_cast<uint32_t>(score));
+  return bits;
+}
+
+/// Forwards to a retriever and counts the calls the composition makes, so
+/// a test can pin how many times one batch reaches the retriever tier.
+class CountingRetriever : public serve::Scorer {
+ public:
+  explicit CountingRetriever(std::shared_ptr<const serve::Scorer> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  std::vector<float> Score(
+      const serve::ScoreRequest& request) const override {
+    ++score_calls;
+    return inner_->Score(request);
+  }
+  std::vector<std::vector<float>> ScoreBatch(
+      const std::vector<serve::ScoreRequest>& requests) const override {
+    ++batch_calls;
+    last_batch_size = requests.size();
+    return inner_->ScoreBatch(requests);
+  }
+  serve::ScorerCapabilities Capabilities() const override {
+    return inner_->Capabilities();
+  }
+  std::vector<float> ScoreCatalog(
+      const std::vector<int64_t>& history) const override {
+    ++catalog_calls;
+    return inner_->ScoreCatalog(history);
+  }
+
+  mutable std::atomic<int> score_calls{0};
+  mutable std::atomic<int> batch_calls{0};
+  mutable std::atomic<int> catalog_calls{0};
+  mutable std::atomic<size_t> last_batch_size{0};
+
+ private:
+  std::shared_ptr<const serve::Scorer> inner_;
+};
+
+TEST(TwoTierTest, OneBatchedRetrieverCallPerBatch) {
+  auto retriever =
+      std::make_shared<CountingRetriever>(std::make_shared<FakeRetriever>());
+  serve::TwoTierOptions options;
+  options.rerank_top_h = 3;
+  auto two_tier = serve::MakeTwoTierScorer(
+      retriever, std::make_shared<FakeReranker>(), options);
+  ASSERT_TRUE(two_tier.ok()) << two_tier.status().ToString();
+
+  std::vector<serve::ScoreRequest> requests = {PoolRequest(1), {}, {},
+                                               PoolRequest(4)};
+  requests[1].history = {3};
+  requests[2].history = {5, 6, 7};
+  const std::vector<std::vector<float>> batched =
+      two_tier.value()->ScoreBatch(requests);
+  ASSERT_EQ(batched.size(), requests.size());
+  EXPECT_EQ(batched[1].size(), static_cast<size_t>(kCatalog));
+  EXPECT_EQ(retriever->batch_calls.load(), 1);
+  EXPECT_EQ(retriever->last_batch_size.load(), requests.size());
+  EXPECT_EQ(retriever->catalog_calls.load(), 0);
+  EXPECT_EQ(retriever->score_calls.load(), 0);
+}
+
+// The batched retrieve with a real model behind the retriever tier: one
+// batch mixing full-catalog requests, explicit pools and ragged history
+// lengths (several lockstep groups in GRU4Rec's batched forward) scores
+// every row bitwise like a per-request Score, at 1 and 4 threads and in any
+// batch order. Catalog rows also match a hand composition over the
+// retriever's per-history ScoreCatalog, which pins the identity-pool
+// equivalence the batched path relies on.
+TEST(TwoTierTest, BatchedRetrieveWithGru4RecMatchesPerRequestScores) {
+  constexpr int64_t kItems = 57;
+  constexpr int64_t kTopH = 5;
+  const srmodels::Gru4Rec retriever_model(kItems, /*embedding_dim=*/12,
+                                          /*seed=*/3);
+  const srmodels::Gru4Rec reranker_model(kItems, /*embedding_dim=*/8,
+                                         /*seed=*/11);
+  std::shared_ptr<const serve::Scorer> retriever =
+      serve::MakeSequentialScorer(&retriever_model);
+  std::shared_ptr<const serve::Scorer> reranker =
+      serve::MakeSequentialScorer(&reranker_model);
+  serve::TwoTierOptions options;
+  options.rerank_top_h = kTopH;
+  auto made = serve::MakeTwoTierScorer(retriever, reranker, options);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const serve::Scorer& two_tier = *made.value();
+
+  std::mt19937_64 rng(17);
+  std::vector<serve::ScoreRequest> requests;
+  for (int64_t i = 0; i < 14; ++i) {
+    serve::ScoreRequest request;
+    const int64_t length = 1 + i % 4;  // Ragged: four lockstep groups.
+    for (int64_t t = 0; t < length; ++t) {
+      request.history.push_back(static_cast<int64_t>(rng() % kItems));
+    }
+    if (i % 3 != 0) {  // Two in three carry an explicit, shuffled pool.
+      std::vector<int64_t> pool(kItems);
+      std::iota(pool.begin(), pool.end(), 0);
+      std::shuffle(pool.begin(), pool.end(), rng);
+      pool.resize(3 + static_cast<size_t>(rng() % 20));
+      request.candidates = pool;
+    }
+    requests.push_back(request);
+  }
+
+  std::vector<std::vector<float>> expected;
+  {
+    util::ScopedParallelism one(1);
+    for (const serve::ScoreRequest& request : requests) {
+      expected.push_back(two_tier.Score(request));
+    }
+  }
+  for (const serve::ScoreRequest& request : requests) {
+    if (!request.candidates.empty()) continue;
+    const std::vector<float> composed = two_tier.Score(request);
+    const std::vector<int64_t> order =
+        eval::TopK(retriever->ScoreCatalog(request.history), kItems);
+    serve::ScoreRequest head;
+    head.history = request.history;
+    head.candidates.assign(order.begin(), order.begin() + kTopH);
+    const std::vector<float> direct = reranker->Score(head);
+    for (int64_t j = 0; j < kTopH; ++j) {
+      EXPECT_EQ(composed[order[j]], direct[j]) << "head position " << j;
+    }
+  }
+
+  for (int threads : {1, 4}) {
+    util::ScopedParallelism parallel(threads, /*min_work_per_dispatch=*/1);
+    std::vector<size_t> permutation(requests.size());
+    std::iota(permutation.begin(), permutation.end(), 0);
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<serve::ScoreRequest> batch;
+      for (size_t index : permutation) batch.push_back(requests[index]);
+      const std::vector<std::vector<float>> rows = two_tier.ScoreBatch(batch);
+      ASSERT_EQ(rows.size(), batch.size());
+      for (size_t b = 0; b < batch.size(); ++b) {
+        EXPECT_EQ(Bits(rows[b]), Bits(expected[permutation[b]]))
+            << "threads=" << threads << " trial=" << trial
+            << " request=" << permutation[b];
+      }
+      std::shuffle(permutation.begin(), permutation.end(), rng);
+    }
   }
 }
 
