@@ -243,8 +243,8 @@ void GeluInPlaceApprox(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = GeluPadeScalar(x[i]);
 }
 
-// Carves an int8 activation buffer out of the fp32 arena: `floats` worth of
-// rows × packed_depth bytes, rounded up to whole floats.
+// Carves an int8 activation buffer of `bytes` (rows × packed_depth) out of
+// the fp32 arena, rounded up to whole floats.
 int8_t* AllocInt8(util::ScopedArena& arena, int64_t bytes) {
   return reinterpret_cast<int8_t*>(arena.Alloc((bytes + 3) / 4));
 }
@@ -358,22 +358,54 @@ void TinyLmBlock::ForwardBatchInference(const float* x, int64_t total,
                                         const BlockPrefixKv* prefix_kv,
                                         float* capture_k,
                                         float* capture_v) const {
+  // One stage order for both weight forms; only a dense projection and the
+  // GELU core differ. fp32 runs Linear::ForwardInference plus the LoRA delta
+  // and the exact tanh GELU. Int8 runs nn::Int8Gemm against the merged
+  // weights, with each distinct input quantized per row once, and the
+  // vectorized Padé GELU (GeluInPlaceApprox above): at serve-scale widths
+  // libm tanh would otherwise rival the projections themselves. LayerNorm
+  // and attention (AttendSpans) stay fp32 on both — quantizing softmax
+  // inputs would cost accuracy for no footprint win.
+  const int64_t d = num_heads_ * head_dim_;
+  const int64_t f = ffn_in_.out_features();
+  int8_t* act_q = nullptr;
+  float* act_s = nullptr;
+  const float* quantized_input = nullptr;  // The input act_q/act_s hold.
   if (quant_) {
-    ForwardBatchInferenceQuant(x, total, spans, out, arena, prefix_kv,
-                               capture_k, capture_v);
-    return;
+    act_q = AllocInt8(arena, total * std::max(quant_->wq.packed_depth(),
+                                              quant_->ffn_out.packed_depth()));
+    act_s = arena.Alloc(total);
   }
-  const int64_t d = num_heads_ * head_dim_;
+  auto project = [&](const float* in, const nn::Linear& linear,
+                     const nn::LoraLinear* adapter,
+                     nn::QuantTensor QuantWeights::*weights, float* result) {
+    if (!quant_) {
+      linear.ForwardInference(in, total, result);
+      if (adapter != nullptr) {
+        adapter->AddDeltaInference(in, total, result, arena);
+      }
+      return;
+    }
+    if (in != quantized_input) {
+      nn::QuantizeActivationRows(in, total, linear.in_features(), act_q,
+                                 act_s);
+      quantized_input = in;
+    }
+    nn::Int8Gemm(act_q, act_s, (*quant_).*weights, BiasPtr(linear), result,
+                 total, /*accumulate=*/false);
+  };
+
   float* normed = arena.Alloc(total * d);
   ln_attention_.ForwardInference(x, total, normed);
   float* q = arena.Alloc(total * d);
-  wq_.ForwardInference(normed, total, q);
-  if (lora_wq_) lora_wq_->AddDeltaInference(normed, total, q, arena);
+  project(normed, wq_, lora_wq_.get(), &QuantWeights::wq, q);
   float* k = arena.Alloc(total * d);
-  wk_.ForwardInference(normed, total, k);
+  project(normed, wk_, nullptr, &QuantWeights::wk, k);
   float* vproj = arena.Alloc(total * d);
-  wv_.ForwardInference(normed, total, vproj);
-  if (lora_wv_) lora_wv_->AddDeltaInference(normed, total, vproj, arena);
+  project(normed, wv_, lora_wv_.get(), &QuantWeights::wv, vproj);
+  // Captured K/V are exactly the rows attention reads below; projections
+  // and activation quantization are per row, so a prefix captured alone
+  // matches the same rows of a stacked forward.
   if (capture_k != nullptr) std::copy(k, k + total * d, capture_k);
   if (capture_v != nullptr) std::copy(vproj, vproj + total * d, capture_v);
 
@@ -381,79 +413,20 @@ void TinyLmBlock::ForwardBatchInference(const float* x, int64_t total,
   AttendSpans(q, k, vproj, spans, attended, arena, prefix_kv);
 
   float* att_proj = arena.Alloc(total * d);
-  wo_.ForwardInference(attended, total, att_proj);
+  project(attended, wo_, nullptr, &QuantWeights::wo, att_proj);
   float* residual = arena.Alloc(total * d);
   const int64_t cells = total * d;
   for (int64_t i = 0; i < cells; ++i) residual[i] = x[i] + att_proj[i];
   float* ff_in = arena.Alloc(total * d);
   ln_ffn_.ForwardInference(residual, total, ff_in);
-  const int64_t f = ffn_in_.out_features();
   float* hidden = arena.Alloc(total * f);
-  ffn_in_.ForwardInference(ff_in, total, hidden);
-  if (lora_ffn_in_) {
-    lora_ffn_in_->AddDeltaInference(ff_in, total, hidden, arena);
+  project(ff_in, ffn_in_, lora_ffn_in_.get(), &QuantWeights::ffn_in, hidden);
+  if (quant_) {
+    GeluInPlaceApprox(hidden, total * f);
+  } else {
+    GeluInPlace(hidden, total * f);
   }
-  GeluInPlace(hidden, total * f);
-  ffn_out_.ForwardInference(hidden, total, out);
-  for (int64_t i = 0; i < cells; ++i) out[i] = residual[i] + out[i];
-}
-
-void TinyLmBlock::ForwardBatchInferenceQuant(
-    const float* x, int64_t total, const std::vector<SequenceSpan>& spans,
-    float* out, util::ScopedArena& arena, const BlockPrefixKv* prefix_kv,
-    float* capture_k, float* capture_v) const {
-  // Same stage order as the fp32 path; every dense projection runs as an
-  // int8 GEMM against the merged+quantized weights, with the activations
-  // re-quantized per row at each projection input. LayerNorm, attention
-  // (AttendSpans) and GELU stay fp32 — quantizing softmax inputs would cost
-  // accuracy for no footprint win — but GELU runs the vectorized Padé
-  // approximation (GeluInPlaceApprox above): at serve-scale widths libm
-  // tanh would otherwise rival the projections themselves.
-  const int64_t d = num_heads_ * head_dim_;
-  const int64_t f = ffn_in_.out_features();
-  float* normed = arena.Alloc(total * d);
-  ln_attention_.ForwardInference(x, total, normed);
-  const int64_t dp = quant_->wq.packed_depth();
-  int8_t* act_q = AllocInt8(arena, total * dp);
-  float* act_s = arena.Alloc(total);
-  // One quantization of the normed input serves wq, wk and wv.
-  nn::QuantizeActivationRows(normed, total, d, act_q, act_s);
-  float* q = arena.Alloc(total * d);
-  nn::Int8Gemm(act_q, act_s, quant_->wq, BiasPtr(wq_), q, total,
-               /*accumulate=*/false);
-  float* k = arena.Alloc(total * d);
-  nn::Int8Gemm(act_q, act_s, quant_->wk, BiasPtr(wk_), k, total,
-               /*accumulate=*/false);
-  float* vproj = arena.Alloc(total * d);
-  nn::Int8Gemm(act_q, act_s, quant_->wv, BiasPtr(wv_), vproj, total,
-               /*accumulate=*/false);
-  // Captured K/V are the fp32 int8-GEMM outputs — exactly what a stacked
-  // forward would feed attention, since activation quantization is per-row.
-  if (capture_k != nullptr) std::copy(k, k + total * d, capture_k);
-  if (capture_v != nullptr) std::copy(vproj, vproj + total * d, capture_v);
-
-  float* attended = arena.Alloc(total * d);
-  AttendSpans(q, k, vproj, spans, attended, arena, prefix_kv);
-
-  nn::QuantizeActivationRows(attended, total, d, act_q, act_s);
-  float* att_proj = arena.Alloc(total * d);
-  nn::Int8Gemm(act_q, act_s, quant_->wo, BiasPtr(wo_), att_proj, total,
-               /*accumulate=*/false);
-  float* residual = arena.Alloc(total * d);
-  const int64_t cells = total * d;
-  for (int64_t i = 0; i < cells; ++i) residual[i] = x[i] + att_proj[i];
-  float* ff_in = arena.Alloc(total * d);
-  ln_ffn_.ForwardInference(residual, total, ff_in);
-  nn::QuantizeActivationRows(ff_in, total, d, act_q, act_s);
-  float* hidden = arena.Alloc(total * f);
-  nn::Int8Gemm(act_q, act_s, quant_->ffn_in, BiasPtr(ffn_in_), hidden, total,
-               /*accumulate=*/false);
-  GeluInPlaceApprox(hidden, total * f);
-  const int64_t fp = quant_->ffn_out.packed_depth();
-  int8_t* hidden_q = AllocInt8(arena, total * fp);
-  nn::QuantizeActivationRows(hidden, total, f, hidden_q, act_s);
-  nn::Int8Gemm(hidden_q, act_s, quant_->ffn_out, BiasPtr(ffn_out_), out,
-               total, /*accumulate=*/false);
+  project(hidden, ffn_out_, nullptr, &QuantWeights::ffn_out, out);
   for (int64_t i = 0; i < cells; ++i) out[i] = residual[i] + out[i];
 }
 
@@ -600,11 +573,68 @@ nn::Tensor TinyLm::LogitsAt(const nn::Tensor& hidden, int64_t position) const {
                      head_bias_);
 }
 
-void TinyLm::GatherPromptRows(
+namespace {
+
+// Lays `prompts` out back to back as the spans of one row-concatenated
+// batch whose positions start at `position_offset`. `prefix_lengths`, when
+// set, gives each span's frozen-head length (SequenceSpan::prefix).
+std::vector<SequenceSpan> LayOutSpans(
     const std::vector<const std::vector<PromptPiece>*>& prompts,
-    const std::vector<SequenceSpan>& spans, const float* table,
-    int64_t position_offset, float* x) const {
+    const std::vector<int64_t>* prefix_lengths, int64_t position_offset,
+    int64_t max_positions) {
+  DELREC_CHECK(!prompts.empty());
+  if (prefix_lengths != nullptr) {
+    DELREC_CHECK_EQ(prefix_lengths->size(), prompts.size());
+  }
+  std::vector<SequenceSpan> spans;
+  spans.reserve(prompts.size());
+  int64_t total = 0;
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    DELREC_CHECK(prompts[i] != nullptr);
+    DELREC_CHECK(!prompts[i]->empty());
+    int64_t length = 0;
+    for (const PromptPiece& piece : *prompts[i]) length += piece.length();
+    DELREC_CHECK_GT(length, 0);
+    DELREC_CHECK_LE(position_offset + length, max_positions)
+        << "prompt longer than max_positions";
+    const int64_t prefix =
+        prefix_lengths != nullptr ? (*prefix_lengths)[i] : int64_t{0};
+    DELREC_CHECK_GE(prefix, 0);
+    DELREC_CHECK_LE(prefix, length);
+    spans.push_back({total, length, prefix});
+    total += length;
+  }
+  return spans;
+}
+
+}  // namespace
+
+nn::Tensor TinyLm::ForwardBatch(
+    const std::vector<const std::vector<PromptPiece>*>& prompts,
+    const std::vector<SequenceSpan>& spans, const nn::Tensor& effective_table,
+    const PrefixState* cached, PrefixState* capture) const {
+  nn::NoGradGuard no_grad;
   const int64_t d = config_.model_dim;
+  // With a quantized token table the fp32 effective table is never built:
+  // token rows are dequantized straight into the activation buffer.
+  nn::Tensor table;
+  if (!quant_table_.defined()) {
+    table = effective_table.defined() ? effective_table
+                                      : EffectiveTokenTable();
+    DELREC_CHECK_EQ(table.dim(0), config_.vocab_size);
+    DELREC_CHECK_EQ(table.dim(1), d);
+  }
+  const int64_t position_offset = cached != nullptr ? cached->length : 0;
+  if (cached != nullptr) {
+    DELREC_CHECK(cached->defined());
+    DELREC_CHECK_EQ(cached->keys.size(), blocks_.size());
+    DELREC_CHECK_EQ(cached->values.size(), blocks_.size());
+  }
+  const float* tv = table.defined() ? table.data().data() : nullptr;
+  const int64_t total = spans.back().begin + spans.back().length;
+
+  util::ScopedArena arena;
+  float* x = arena.Alloc(total * d);
   const float* pos = position_table_.data().data() + position_offset * d;
   for (size_t s = 0; s < prompts.size(); ++s) {
     float* base = x + spans[s].begin * d;
@@ -614,9 +644,8 @@ void TinyLm::GatherPromptRows(
         for (int64_t token : piece.tokens) {
           DELREC_CHECK_GE(token, 0);
           DELREC_CHECK_LT(token, config_.vocab_size);
-          if (table != nullptr) {
-            std::copy(table + token * d, table + (token + 1) * d,
-                      base + row * d);
+          if (tv != nullptr) {
+            std::copy(tv + token * d, tv + (token + 1) * d, base + row * d);
           } else {
             quant_table_.DequantRow(token, base + row * d);
           }
@@ -630,65 +659,30 @@ void TinyLm::GatherPromptRows(
       }
     }
     // Positions restart at `position_offset` for every sequence, matching
-    // Encode()'s Add(x, SliceRows(position_table_, 0, T)) — suffix-only
-    // batches pass the prefix length so position rows line up with the
-    // full-prompt encode.
+    // Encode()'s Add(x, SliceRows(position_table_, 0, T)); a suffix-only
+    // batch continues after the cached prefix so its position rows line up
+    // with the full-prompt encode.
     const int64_t cells = spans[s].length * d;
     for (int64_t i = 0; i < cells; ++i) base[i] = base[i] + pos[i];
   }
-}
 
-nn::Tensor TinyLm::EncodeBatch(
-    const std::vector<const std::vector<PromptPiece>*>& prompts,
-    const nn::Tensor& effective_table, std::vector<SequenceSpan>* spans,
-    const std::vector<int64_t>* prefix_lengths) const {
-  DELREC_CHECK(!prompts.empty());
-  DELREC_CHECK(spans != nullptr);
-  if (prefix_lengths != nullptr) {
-    DELREC_CHECK_EQ(prefix_lengths->size(), prompts.size());
-  }
-  nn::NoGradGuard no_grad;
-  // With a quantized token table the fp32 effective table is never built:
-  // token rows are dequantized straight into the activation buffer.
-  nn::Tensor table;
-  const float* tv = nullptr;
-  if (!quant_table_.defined()) {
-    table = effective_table.defined() ? effective_table
-                                      : EffectiveTokenTable();
-    DELREC_CHECK_EQ(table.dim(0), config_.vocab_size);
-    DELREC_CHECK_EQ(table.dim(1), config_.model_dim);
-    tv = table.data().data();
-  }
-  const int64_t d = config_.model_dim;
-
-  spans->clear();
-  spans->reserve(prompts.size());
-  int64_t total = 0;
-  for (size_t i = 0; i < prompts.size(); ++i) {
-    const std::vector<PromptPiece>* pieces = prompts[i];
-    DELREC_CHECK(pieces != nullptr);
-    DELREC_CHECK(!pieces->empty());
-    int64_t length = 0;
-    for (const PromptPiece& piece : *pieces) length += piece.length();
-    DELREC_CHECK_GT(length, 0);
-    DELREC_CHECK_LE(length, config_.max_positions)
-        << "prompt longer than max_positions";
-    const int64_t prefix =
-        prefix_lengths != nullptr ? (*prefix_lengths)[i] : int64_t{0};
-    DELREC_CHECK_GE(prefix, 0);
-    DELREC_CHECK_LE(prefix, length);
-    spans->push_back({total, length, prefix});
-    total += length;
-  }
-
-  util::ScopedArena arena;
-  float* x = arena.Alloc(total * d);
-  GatherPromptRows(prompts, *spans, tv, /*position_offset=*/0, x);
-
+  if (capture != nullptr) *capture = PrefixState{total, {}, {}};
   float* cur = x;
   float* next = arena.Alloc(total * d);
-  for (const auto& block : blocks_) {
-    block->ForwardBatchInference(cur, total, *spans, next, arena);
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    BlockPrefixKv kv;
+    if (cached != nullptr) {
+      kv = {cached->keys[b].data(), cached->values[b].data(), cached->length};
+    }
+    float* capture_k = nullptr;
+    float* capture_v = nullptr;
+    if (capture != nullptr) {
+      capture_k = capture->keys.emplace_back(total * d).data();
+      capture_v = capture->values.emplace_back(total * d).data();
+    }
+    blocks_[b]->ForwardBatchInference(cur, total, spans, next, arena,
+                                      cached != nullptr ? &kv : nullptr,
+                                      capture_k, capture_v);
     std::swap(cur, next);
   }
   std::vector<float> out = util::BufferPool::Global().Acquire(total * d);
@@ -696,8 +690,19 @@ nn::Tensor TinyLm::EncodeBatch(
   return nn::Tensor::FromData({total, d}, std::move(out));
 }
 
+nn::Tensor TinyLm::EncodeBatch(
+    const std::vector<const std::vector<PromptPiece>*>& prompts,
+    const nn::Tensor& effective_table, std::vector<SequenceSpan>* spans,
+    const std::vector<int64_t>* prefix_lengths) const {
+  DELREC_CHECK(spans != nullptr);
+  *spans = LayOutSpans(prompts, prefix_lengths, /*position_offset=*/0,
+                       config_.max_positions);
+  return ForwardBatch(prompts, *spans, effective_table, /*cached=*/nullptr,
+                      /*capture=*/nullptr);
+}
+
 size_t TinyLm::PrefixState::MemoryBytes() const {
-  size_t bytes = hidden.size() * sizeof(float);
+  size_t bytes = 0;
   for (const auto& layer : keys) bytes += layer.size() * sizeof(float);
   for (const auto& layer : values) bytes += layer.size() * sizeof(float);
   return bytes;
@@ -706,49 +711,17 @@ size_t TinyLm::PrefixState::MemoryBytes() const {
 TinyLm::PrefixState TinyLm::BuildPrefixState(
     const std::vector<PromptPiece>& prefix_pieces,
     const nn::Tensor& effective_table) const {
-  DELREC_CHECK(!prefix_pieces.empty());
-  nn::NoGradGuard no_grad;
-  nn::Tensor table;
-  const float* tv = nullptr;
-  if (!quant_table_.defined()) {
-    table = effective_table.defined() ? effective_table
-                                      : EffectiveTokenTable();
-    tv = table.data().data();
-  }
-  const int64_t d = config_.model_dim;
-  int64_t length = 0;
-  for (const PromptPiece& piece : prefix_pieces) length += piece.length();
-  DELREC_CHECK_GT(length, 0);
-  DELREC_CHECK_LE(length, config_.max_positions);
-
-  PrefixState state;
-  state.length = length;
-  state.keys.resize(blocks_.size());
-  state.values.resize(blocks_.size());
-
+  const std::vector<const std::vector<PromptPiece>*> prompts = {
+      &prefix_pieces};
+  std::vector<SequenceSpan> spans =
+      LayOutSpans(prompts, /*prefix_lengths=*/nullptr, /*position_offset=*/0,
+                  config_.max_positions);
   // One span, entirely frozen head: the attention this runs for rows
   // [0, P) is exactly what a boundary-masked full forward computes for
   // them, so the captured K/V are the cached-path ground truth.
-  const std::vector<SequenceSpan> spans = {{0, length, length}};
-  const std::vector<const std::vector<PromptPiece>*> prompts = {
-      &prefix_pieces};
-  util::ScopedArena arena;
-  float* x = arena.Alloc(length * d);
-  GatherPromptRows(prompts, spans, tv, /*position_offset=*/0, x);
-
-  float* cur = x;
-  float* next = arena.Alloc(length * d);
-  for (size_t b = 0; b < blocks_.size(); ++b) {
-    state.keys[b].resize(length * d);
-    state.values[b].resize(length * d);
-    blocks_[b]->ForwardBatchInference(cur, length, spans, next, arena,
-                                      /*prefix_kv=*/nullptr,
-                                      state.keys[b].data(),
-                                      state.values[b].data());
-    std::swap(cur, next);
-  }
-  state.hidden.resize(length * d);
-  final_norm_.ForwardInference(cur, length, state.hidden.data());
+  spans[0].prefix = spans[0].length;
+  PrefixState state;
+  ForwardBatch(prompts, spans, effective_table, /*cached=*/nullptr, &state);
   return state;
 }
 
@@ -757,54 +730,12 @@ nn::Tensor TinyLm::EncodeBatchWithPrefix(
     const std::vector<const std::vector<PromptPiece>*>& suffixes,
     const nn::Tensor& effective_table,
     std::vector<SequenceSpan>* spans) const {
-  DELREC_CHECK(prefix.defined());
-  DELREC_CHECK_EQ(prefix.keys.size(), blocks_.size());
-  DELREC_CHECK_EQ(prefix.values.size(), blocks_.size());
-  DELREC_CHECK(!suffixes.empty());
   DELREC_CHECK(spans != nullptr);
-  nn::NoGradGuard no_grad;
-  nn::Tensor table;
-  const float* tv = nullptr;
-  if (!quant_table_.defined()) {
-    table = effective_table.defined() ? effective_table
-                                      : EffectiveTokenTable();
-    tv = table.data().data();
-  }
-  const int64_t d = config_.model_dim;
-
-  spans->clear();
-  spans->reserve(suffixes.size());
-  int64_t total = 0;
-  for (const std::vector<PromptPiece>* pieces : suffixes) {
-    DELREC_CHECK(pieces != nullptr);
-    DELREC_CHECK(!pieces->empty());
-    int64_t length = 0;
-    for (const PromptPiece& piece : *pieces) length += piece.length();
-    DELREC_CHECK_GT(length, 0);
-    DELREC_CHECK_LE(prefix.length + length, config_.max_positions)
-        << "prefix + suffix longer than max_positions";
-    spans->push_back({total, length});
-    total += length;
-  }
-
-  util::ScopedArena arena;
-  float* x = arena.Alloc(total * d);
-  GatherPromptRows(suffixes, *spans, tv,
-                   /*position_offset=*/prefix.length, x);
-
-  float* cur = x;
-  float* next = arena.Alloc(total * d);
-  for (size_t b = 0; b < blocks_.size(); ++b) {
-    BlockPrefixKv kv;
-    kv.keys = prefix.keys[b].data();
-    kv.values = prefix.values[b].data();
-    kv.length = prefix.length;
-    blocks_[b]->ForwardBatchInference(cur, total, *spans, next, arena, &kv);
-    std::swap(cur, next);
-  }
-  std::vector<float> out = util::BufferPool::Global().Acquire(total * d);
-  final_norm_.ForwardInference(cur, total, out.data());
-  return nn::Tensor::FromData({total, d}, std::move(out));
+  *spans = LayOutSpans(suffixes, /*prefix_lengths=*/nullptr,
+                       /*position_offset=*/prefix.length,
+                       config_.max_positions);
+  return ForwardBatch(suffixes, *spans, effective_table, &prefix,
+                      /*capture=*/nullptr);
 }
 
 nn::Tensor TinyLm::LogitsAtRows(const nn::Tensor& hidden,
@@ -828,8 +759,7 @@ nn::Tensor TinyLm::LogitsAtRows(const nn::Tensor& hidden,
     // Tied LM head over the quantized table: dynamic per-row activation
     // quantization, then the packed int8 kernels against all vocab channels.
     const int64_t dp = quant_table_.packed_depth();
-    int8_t* gathered_q =
-        reinterpret_cast<int8_t*>(arena.Alloc((b * dp + 3) / 4));
+    int8_t* gathered_q = AllocInt8(arena, b * dp);
     float* gathered_s = arena.Alloc(b);
     nn::QuantizeActivationRows(gathered, b, d, gathered_q, gathered_s);
     nn::Int8Gemm(gathered_q, gathered_s, quant_table_, /*bias=*/nullptr,
@@ -848,16 +778,15 @@ nn::Tensor TinyLm::LogitsAtRows(const nn::Tensor& hidden,
   return nn::Tensor::FromData({b, vocab}, std::move(out));
 }
 
-void TinyLm::QuantizeForInference(bool quantize_embedding_table) {
+void TinyLm::QuantizeForInference() {
   for (auto& block : blocks_) block->QuantizeForInference();
-  if (quantize_embedding_table && !quant_table_.defined()) {
+  if (!quant_table_.defined()) {
     // Merge the embedding-LoRA delta first so the quantized table matches
     // the effective table the fp32 path gathers from.
     const nn::Tensor table = MaterializeTokenTable();
     quant_table_ = nn::QuantTensor::FromRows(
         table.data().data(), config_.vocab_size, config_.model_dim);
   }
-  quantized_ = true;
 }
 
 size_t TinyLm::InferenceWeightBytes() const {

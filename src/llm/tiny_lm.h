@@ -97,16 +97,18 @@ class TinyLmBlock : public nn::Module {
   /// Inference-only batched forward: `x` holds `total` row-concatenated
   /// hidden rows covering `spans`; writes the block output to `out` (same
   /// shape, must not alias x). Dense projections run as single stacked
-  /// GEMMs; attention stays block-diagonal per span. Every row is
-  /// bit-identical to Forward() run on that span alone (DESIGN.md §11).
+  /// GEMMs; attention stays block-diagonal per span. On fp32 weights every
+  /// row is bit-identical to Forward() run on that span alone (DESIGN.md
+  /// §11). After QuantizeForInference the same stage sequence runs its
+  /// dense projections as int8 GEMMs and GELU as a Padé approximant
+  /// (DESIGN.md §13).
   ///
   /// When `prefix_kv` is set, every span is the suffix of one shared frozen
   /// prefix whose K/V rows were captured earlier: suffix rows attend over
   /// cached-prefix-keys ++ fresh-span-keys (same summation order as the
   /// uncached boundary-masked path, so bit-identical). `capture_k` /
-  /// `capture_v` (each total × model_dim) receive this block's post-adapter
-  /// (or post-int8-GEMM) K/V projections — the snapshot-build hook that
-  /// fills a TinyLm::PrefixState.
+  /// `capture_v` (each total × model_dim) receive the K/V projections this
+  /// block's attention reads — the hook that fills a TinyLm::PrefixState.
   void ForwardBatchInference(const float* x, int64_t total,
                              const std::vector<SequenceSpan>& spans,
                              float* out, util::ScopedArena& arena,
@@ -124,11 +126,9 @@ class TinyLmBlock : public nn::Module {
   /// Builds the int8 serving weights (DESIGN.md §13): merges any adapters
   /// into their base matrices and quantizes all six dense projections
   /// per-output-channel. Idempotent; after this, ForwardBatchInference
-  /// routes its dense GEMMs through nn::Int8Gemm while LayerNorm, attention
-  /// and GELU stay fp32. Forward() and the fp32 batched path of an
-  /// un-quantized block are unaffected.
+  /// routes its dense GEMMs through nn::Int8Gemm while LayerNorm and
+  /// attention stay fp32. Forward() is unaffected.
   void QuantizeForInference();
-  bool quantized() const { return quant_ != nullptr; }
 
   /// Bytes of weights the batched inference path reads: fp32 LN affines and
   /// biases plus either the fp32 dense matrices (+ adapter factors) or their
@@ -141,23 +141,17 @@ class TinyLmBlock : public nn::Module {
     nn::QuantTensor wq, wk, wv, wo, ffn_in, ffn_out;
   };
 
-  /// The block-diagonal per-span attention stage shared by the fp32 and int8
-  /// batched paths: consumes the stacked q/k/v projections, writes the
-  /// concatenated head outputs to `attended`. Arithmetic is identical to the
-  /// historical inline loop (DESIGN.md §11) — the int8 path changes only how
-  /// q/k/v and the surrounding projections are produced. Honors each span's
-  /// frozen-prefix boundary, and with `prefix_kv` splices the shared cached
-  /// K/V rows ahead of every span's fresh rows.
+  /// The block-diagonal per-span attention stage of ForwardBatchInference:
+  /// consumes the stacked q/k/v projections, writes the concatenated head
+  /// outputs to `attended` with Forward()'s arithmetic (DESIGN.md §11) on
+  /// fp32 and int8 weights alike. Honors each span's frozen-prefix boundary,
+  /// and with `prefix_kv` splices the shared cached K/V rows ahead of every
+  /// span's fresh rows.
   void AttendSpans(const float* q, const float* k, const float* vproj,
                    const std::vector<SequenceSpan>& spans, float* attended,
                    util::ScopedArena& arena,
                    const BlockPrefixKv* prefix_kv) const;
 
-  void ForwardBatchInferenceQuant(const float* x, int64_t total,
-                                  const std::vector<SequenceSpan>& spans,
-                                  float* out, util::ScopedArena& arena,
-                                  const BlockPrefixKv* prefix_kv,
-                                  float* capture_k, float* capture_v) const;
   int64_t num_heads_;
   int64_t head_dim_;
   nn::LayerNorm ln_attention_;
@@ -196,9 +190,10 @@ class TinyLm : public nn::Module {
 
   /// Batched inference encoder: stacks B prompts into one row-concatenated
   /// (ΣT, D) pass so the dense projections ride the blocked GEMMs once
-  /// instead of B times. Row r of the result is bit-identical to the
-  /// matching row of Encode(*prompts[i], 0.0f, rng) at every thread count
-  /// and for every batch composition. `effective_table` is an optional
+  /// instead of B times. On fp32 weights row r of the result is
+  /// bit-identical to the matching row of Encode(*prompts[i], 0.0f, rng,
+  /// prefix_length_i) at every thread count and for every batch composition
+  /// (pinned by parallel_determinism_test). `effective_table` is an optional
   /// precomputed MaterializeTokenTable() result (pass an undefined Tensor
   /// to recompute, as Encode does); `spans` receives each prompt's row
   /// range. No grad, no dropout, no RNG draws.
@@ -211,27 +206,26 @@ class TinyLm : public nn::Module {
       const nn::Tensor& effective_table, std::vector<SequenceSpan>* spans,
       const std::vector<int64_t>* prefix_lengths = nullptr) const;
 
-  /// Precomputed shared-prefix state (DESIGN.md §15): per-layer attention
-  /// K/V rows plus the final hidden rows of a frozen prompt head, computed
-  /// once per snapshot and reused by every request that shares the head.
+  /// Precomputed shared-prefix state (DESIGN.md §15): the per-layer
+  /// attention K/V rows of a frozen prompt head, computed once per snapshot
+  /// and reused by every request that shares the head.
   struct PrefixState {
     int64_t length = 0;
     std::vector<std::vector<float>> keys;    // Per layer, (length, D).
     std::vector<std::vector<float>> values;  // Per layer, (length, D).
-    std::vector<float> hidden;               // (length, D), final-norm out.
 
     bool defined() const { return length > 0; }
     /// Bytes the cache holds resident (counted in snapshot footprints).
     size_t MemoryBytes() const;
   };
 
-  /// Runs the encoder once over the shared prefix (as its own frozen span)
-  /// and captures every block's K/V projections. The captured rows are
-  /// bit-identical to what a full boundary-masked forward computes for the
-  /// prefix rows, because prefix hidden states never read the suffix and
-  /// each GEMM output row depends only on its own input row. Honors the
-  /// int8 path when the model is quantized (per-row activation quantization
-  /// makes prefix rows quantize identically alone or stacked).
+  /// The batched forward run once over the shared prefix (as its own frozen
+  /// span) with K/V capture on. The captured rows are bit-identical to what
+  /// a full boundary-masked forward computes for the prefix rows, because
+  /// prefix hidden states never read the suffix and each GEMM output row
+  /// depends only on its own input row. Honors the int8 path when the
+  /// model is quantized (per-row activation quantization makes prefix rows
+  /// quantize identically alone or stacked).
   PrefixState BuildPrefixState(const std::vector<PromptPiece>& prefix_pieces,
                                const nn::Tensor& effective_table) const;
 
@@ -297,18 +291,19 @@ class TinyLm : public nn::Module {
   std::vector<nn::Tensor> BitFitParameters() const;
 
   /// Converts this (frozen) model to int8 serving form (DESIGN.md §13):
-  /// every block's dense projections are merged+quantized, and — when
-  /// `quantize_embedding_table` — the effective token table (base plus
-  /// embedding-LoRA delta) is quantized per-row too, covering both the
-  /// input gather and the tied LM head. Idempotent. Only the batched
-  /// inference paths (EncodeBatch / LogitsAtRows) change; training forwards
-  /// keep reading the fp32 parameters.
-  void QuantizeForInference(bool quantize_embedding_table);
-  bool quantized() const { return quantized_; }
-  bool embedding_table_quantized() const { return quant_table_.defined(); }
+  /// every block's dense projections are merged+quantized, and the
+  /// effective token table (base plus embedding-LoRA delta) is quantized
+  /// per-row, covering both the input gather and the tied LM head.
+  /// Idempotent. Only the batched inference paths (EncodeBatch /
+  /// EncodeBatchWithPrefix / BuildPrefixState / LogitsAtRows) change;
+  /// training forwards keep reading the fp32 parameters.
+  void QuantizeForInference();
+  bool quantized() const { return quant_table_.defined(); }
+  /// Same as quantized(): int8 form always includes the token table.
+  bool embedding_table_quantized() const { return quantized(); }
 
-  /// The quantized token table (defined only after QuantizeForInference with
-  /// quantize_embedding_table) — exposed for parity tests.
+  /// The quantized token table (defined only after QuantizeForInference) —
+  /// exposed for parity tests.
   const nn::QuantTensor& quant_table() const { return quant_table_; }
 
   /// Bytes of weights one EncodeBatch+LogitsAtRows pass reads: blocks,
@@ -336,19 +331,23 @@ class TinyLm : public nn::Module {
   nn::Tensor embedding_lora_b_;  // (rank, model_dim)
   float embedding_lora_scale_ = 0.0f;
   // Int8 serving state (set by QuantizeForInference).
-  bool quantized_ = false;
   nn::QuantTensor quant_table_;  // (vocab, model_dim), LoRA delta merged.
 
   /// Token table with the low-rank delta applied (or the raw table).
   nn::Tensor EffectiveTokenTable() const;
 
-  /// Gathers prompt embeddings plus position rows (positions starting at
-  /// `position_offset`) into the stacked activation buffer `x`. `table` is
-  /// the fp32 effective table, or nullptr to dequantize from quant_table_.
-  void GatherPromptRows(
+  /// The one batched inference forward behind EncodeBatch,
+  /// EncodeBatchWithPrefix and BuildPrefixState: gathers `prompts` into the
+  /// rows `spans` lay out, runs every block and applies the final norm,
+  /// returning (ΣT, D). With `cached`, every span is a suffix of that
+  /// prefix: positions continue at cached->length and attention reads its
+  /// K/V. With `capture`, every block's K/V rows are stored there.
+  /// `effective_table` as for EncodeBatch (ignored once the table is int8).
+  nn::Tensor ForwardBatch(
       const std::vector<const std::vector<PromptPiece>*>& prompts,
-      const std::vector<SequenceSpan>& spans, const float* table,
-      int64_t position_offset, float* x) const;
+      const std::vector<SequenceSpan>& spans,
+      const nn::Tensor& effective_table, const PrefixState* cached,
+      PrefixState* capture) const;
 };
 
 }  // namespace delrec::llm

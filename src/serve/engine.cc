@@ -14,15 +14,23 @@ namespace {
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
-/// Arrival-relative budget → absolute deadline. A non-positive budget means
-/// "no deadline" (never sheds).
+/// Longest budget (~31 years) added to a steady_clock time point. The clock
+/// counts int64 nanoseconds, so much longer budgets — and +inf — cannot be
+/// converted or added without overflow.
+constexpr double kMaxBudgetMs = 1e12;
+
+std::chrono::microseconds BudgetMicros(double budget_ms) {
+  return std::chrono::microseconds(static_cast<int64_t>(budget_ms * 1000.0));
+}
+
+/// Arrival-relative budget → absolute deadline. A non-positive budget, or
+/// one beyond kMaxBudgetMs, means "no deadline" (never sheds).
 std::chrono::steady_clock::time_point DeadlineFor(
     std::chrono::steady_clock::time_point arrival, double request_ms,
     double default_ms) {
   const double budget_ms = request_ms > 0.0 ? request_ms : default_ms;
-  if (budget_ms <= 0.0) return kNoDeadline;
-  return arrival + std::chrono::microseconds(
-                       static_cast<int64_t>(budget_ms * 1000.0));
+  if (!(budget_ms > 0.0 && budget_ms < kMaxBudgetMs)) return kNoDeadline;
+  return arrival + BudgetMicros(budget_ms);
 }
 
 ScoreResponse Rejection(util::Status status) {
@@ -39,9 +47,10 @@ util::Status EngineOptions::Validate() const {
         "EngineOptions.max_batch_size must be >= 1, got " +
         std::to_string(max_batch_size));
   }
-  if (!(batch_deadline_ms >= 0.0)) {  // Also rejects NaN.
+  // Also rejects NaN and +inf.
+  if (!(batch_deadline_ms >= 0.0 && std::isfinite(batch_deadline_ms))) {
     return util::Status::InvalidArgument(
-        "EngineOptions.batch_deadline_ms must be >= 0, got " +
+        "EngineOptions.batch_deadline_ms must be finite and >= 0, got " +
         std::to_string(batch_deadline_ms));
   }
   if (max_queue_depth < 0) {
@@ -194,8 +203,8 @@ void RecommendationEngine::RecordQueueWaitLocked(Clock::duration wait) {
 }
 
 void RecommendationEngine::DispatcherLoop() {
-  const auto deadline_budget = std::chrono::microseconds(
-      static_cast<int64_t>(options_.batch_deadline_ms * 1000.0));
+  const auto deadline_budget =
+      BudgetMicros(std::min(options_.batch_deadline_ms, kMaxBudgetMs));
   const size_t max_batch = static_cast<size_t>(options_.max_batch_size);
   while (true) {
     std::unique_lock<std::mutex> lock(mutex_);

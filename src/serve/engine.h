@@ -34,11 +34,11 @@ struct EngineOptions {
   /// Deadline applied to requests that do not carry their own
   /// ScoreRequest::deadline_ms. Measured from arrival; a request still
   /// queued when its budget lapses is shed with kDeadlineExceeded at
-  /// dispatch time. 0 = no default deadline.
+  /// dispatch time. 0 = no default deadline; so is +inf.
   double default_deadline_ms = 0.0;
 
   /// InvalidArgument when any field is out of range (max_batch_size >= 1,
-  /// the rest >= 0). The engine constructor CHECK-fails on invalid options;
+  /// the rest >= 0, batch_deadline_ms finite). The engine constructor CHECK-fails on invalid options;
   /// call this first when options come from configuration rather than code.
   util::Status Validate() const;
 };

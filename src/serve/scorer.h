@@ -20,9 +20,10 @@ struct ScoreRequest {
   std::vector<int64_t> candidates;
   /// Latency budget measured from the moment the request enters an engine's
   /// queue. 0 defers to EngineOptions::default_deadline_ms (where 0 again
-  /// means "no deadline"). A request whose budget has lapsed by the time the
-  /// dispatcher would score it is shed with kDeadlineExceeded instead of
-  /// being scored late. Scorers themselves ignore this field — deadlines are
+  /// means "no deadline", as do +inf and budgets too long for the engine
+  /// clock). A request whose budget has lapsed by the time the dispatcher
+  /// would score it is shed with kDeadlineExceeded instead of being scored
+  /// late. Scorers themselves ignore this field — deadlines are
   /// an engine concern, so Score()/ScoreBatch() results never depend on it.
   double deadline_ms = 0.0;
 };

@@ -106,14 +106,14 @@ util::StatusOr<std::unique_ptr<EngineSnapshot>> EngineSnapshot::FromBlobs(
 
   snapshot->llm_ = std::move(lm);
   if (options.quantize_int8) {
-    snapshot->llm_->QuantizeForInference(options.quantize_embedding_table);
+    snapshot->llm_->QuantizeForInference();
   }
   // Materialize the effective token table once: every request shares it
   // instead of re-deriving the embedding-LoRA delta. With a quantized table
   // the fp32 copy is deliberately never built — the gather and the LM head
   // read the packed int8 form, which is where the footprint shrink comes
   // from.
-  if (!snapshot->llm_->embedding_table_quantized()) {
+  if (!snapshot->llm_->quantized()) {
     snapshot->effective_table_ = snapshot->llm_->MaterializeTokenTable();
   }
   // Prefix KV cache (DESIGN.md §15), built last so it reads the final

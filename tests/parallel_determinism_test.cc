@@ -270,6 +270,62 @@ TEST_F(ParallelDeterminismTest, SnapshotBatchScoringBitIdenticalAcrossThreads) {
   }
 }
 
+// The batched inference forward against the autograd reference (DESIGN.md
+// §11): on fp32 weights every EncodeBatch row is bit-identical to the
+// matching row of a per-prompt Encode(..., prefix_length), in one batch that
+// mixes full-bidirectional (prefix 0) and frozen-head (prefix > 0) prompts.
+TEST_F(ParallelDeterminismTest, EncodeBatchMatchesEncodeWithMixedPrefixes) {
+  auto llm = workbench_->MakePretrainedLlm(core::LlmSize::kBase);
+  llm->SetTraining(false);
+  util::Rng rng(67);
+  const nn::Tensor soft =
+      nn::Tensor::Randn({4, llm->config().model_dim}, rng, 0.02f);
+  llm::PromptBuilder builder(&workbench_->dataset().catalog,
+                             &workbench_->vocab());
+
+  const auto& test = workbench_->splits().test;
+  std::vector<llm::Prompt> prompts;
+  std::vector<const std::vector<llm::PromptPiece>*> pieces;
+  std::vector<int64_t> prefix_lengths;
+  for (size_t i = 0; i < std::min<size_t>(8, test.size()); ++i) {
+    prompts.push_back(builder.BuildRecommendation(
+        test[i].history,
+        data::SampleCandidates(workbench_->num_items(), test[i].target, 8,
+                               rng),
+        soft, {}, nn::Tensor()));
+  }
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    pieces.push_back(&prompts[i].pieces);
+    prefix_lengths.push_back(i % 2 == 0 ? 0 : prompts[i].prefix_length);
+  }
+  ASSERT_GT(prompts[1].prefix_length, 0);
+
+  std::vector<std::vector<float>> reference;
+  {
+    util::ScopedParallelism parallel(1, /*min_work_per_dispatch=*/1);
+    nn::NoGradGuard no_grad;
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      reference.push_back(
+          llm->Encode(prompts[i].pieces, 0.0f, rng, prefix_lengths[i]).data());
+    }
+  }
+  const nn::Tensor table = llm->MaterializeTokenTable();
+  for (int threads : {1, 4}) {
+    util::ScopedParallelism parallel(threads, /*min_work_per_dispatch=*/1);
+    std::vector<llm::SequenceSpan> spans;
+    const nn::Tensor hidden =
+        llm->EncodeBatch(pieces, table, &spans, &prefix_lengths);
+    const int64_t d = hidden.dim(1);
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      const float* rows = hidden.data().data() + spans[i].begin * d;
+      const std::vector<float> got(rows, rows + spans[i].length * d);
+      EXPECT_EQ(got, reference[i])
+          << "threads=" << threads << " prompt=" << i
+          << " prefix=" << prefix_lengths[i];
+    }
+  }
+}
+
 // The prefix-cache contract at the LLM layer (DESIGN.md §15): suffix rows
 // from EncodeBatchWithPrefix (cached prefix K/V) must be bit-identical to
 // the matching rows of a full boundary-masked EncodeBatch, at every thread

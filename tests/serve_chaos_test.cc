@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -199,6 +200,38 @@ TEST_F(ServeChaosTest, EngineOptionsValidation) {
   server_options.engine.max_batch_size = -3;
   EXPECT_EQ(server_options.Validate().code(),
             Status::Code::kInvalidArgument);
+}
+
+// Budgets the engine clock cannot represent — +inf, or far beyond the int64
+// nanosecond range — mean "no deadline": such requests are scored, never
+// shed. A non-finite linger is rejected up front; a finite but huge one is
+// accepted and harmless.
+TEST_F(ServeChaosTest, UnrepresentableDeadlinesNeverShed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  serve::EngineOptions options;
+  options.batch_deadline_ms = kInf;
+  EXPECT_EQ(options.Validate().code(), Status::Code::kInvalidArgument);
+  options.batch_deadline_ms = 1e300;
+  options.max_batch_size = 1;
+  options.default_deadline_ms = kInf;
+  ASSERT_TRUE(options.Validate().ok());
+
+  FakeScorer scorer(1.0f);
+  serve::RecommendationEngine engine(&scorer, options);
+  serve::ScoreRequest forever = MakeRequest(1);
+  forever.deadline_ms = kInf;
+  serve::ScoreRequest huge = MakeRequest(2);
+  huge.deadline_ms = 1e300;
+  auto infinite = engine.ScoreAsync(std::move(forever));
+  auto over_range = engine.ScoreAsync(std::move(huge));
+  auto inherits_default = engine.ScoreAsync(MakeRequest(3));
+
+  EXPECT_TRUE(infinite.get().status.ok());
+  EXPECT_TRUE(over_range.get().status.ok());
+  EXPECT_TRUE(inherits_default.get().status.ok());
+  const serve::RecommendationEngine::Stats stats = engine.GetStats();
+  EXPECT_EQ(stats.shed_deadline, 0u);
+  EXPECT_EQ(stats.scored, 3u);
 }
 
 // The acceptance scenario: 8 concurrent clients, failpoints firing inside
