@@ -20,6 +20,7 @@
 // Deadlines and the p99 bound are derived from the measured capacity so
 // the gates track machine speed instead of hard-coding one host's timings.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -151,9 +152,9 @@ PhaseResult RunClosedLoop(serve::ShardedServer& server,
 }
 
 /// Phases 2/3: one generator thread submits on a precomputed bursty Poisson
-/// schedule; the main thread drains futures in submission order, measuring
-/// latency from each request's *scheduled* arrival (so queueing delay the
-/// schedule mandates is not hidden — no coordinated omission).
+/// schedule while the main thread stamps each completion as it happens,
+/// measuring latency from the request's *scheduled* arrival (so queueing
+/// delay the schedule mandates is not hidden — no coordinated omission).
 PhaseResult RunOpenLoop(serve::ShardedServer& server,
                         const std::vector<LoadRequest>& requests,
                         double target_rps, uint64_t seed) {
@@ -180,8 +181,16 @@ PhaseResult RunOpenLoop(serve::ShardedServer& server,
   struct InFlight {
     Clock::time_point scheduled;
     std::future<serve::ScoreResponse> future;
+    Clock::time_point done;
   };
   std::vector<InFlight> in_flight(requests.size());
+  // Each shard resolves its admitted requests in FIFO order, so the drainer
+  // only watches the oldest unstamped request of each shard.
+  std::vector<std::vector<size_t>> by_shard(server.num_shards());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    by_shard[server.ShardFor(requests[i].user_id)].push_back(i);
+  }
+  std::atomic<size_t> submitted{0};  // in_flight[0, submitted) is published.
   const Clock::time_point start = Clock::now();
   std::thread generator([&] {
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -192,8 +201,31 @@ PhaseResult RunOpenLoop(serve::ShardedServer& server,
       in_flight[i].scheduled = due;
       in_flight[i].future =
           server.ScoreAsync(requests[i].user_id, requests[i].request);
+      submitted.store(i + 1, std::memory_order_release);
     }
   });
+  // Stamp completions while the schedule runs: a stamp is late by at most
+  // one poll slice, not by the rest of the schedule.
+  std::vector<size_t> next(by_shard.size(), 0);
+  for (size_t stamped = 0; stamped < requests.size();) {
+    const size_t published = submitted.load(std::memory_order_acquire);
+    bool progressed = false;
+    for (size_t s = 0; s < by_shard.size(); ++s) {
+      while (next[s] < by_shard[s].size()) {
+        InFlight& flight = in_flight[by_shard[s][next[s]]];
+        if (by_shard[s][next[s]] >= published ||
+            flight.future.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready) {
+          break;
+        }
+        flight.done = Clock::now();
+        ++next[s];
+        ++stamped;
+        progressed = true;
+      }
+    }
+    if (!progressed) std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
   generator.join();
 
   PhaseResult result;
@@ -201,7 +233,7 @@ PhaseResult RunOpenLoop(serve::ShardedServer& server,
   Clock::time_point last_done = start;
   for (InFlight& flight : in_flight) {
     const serve::ScoreResponse response = flight.future.get();
-    const Clock::time_point done = Clock::now();
+    const Clock::time_point done = flight.done;
     if (response.status.ok()) {
       ++result.completed;
       last_done = std::max(last_done, done);

@@ -1,9 +1,14 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "util/buffer_pool.h"
+#include "util/check.h"
 #include "util/threadpool.h"
 
 // This translation unit is compiled with -ffp-contract=off (set in
@@ -26,7 +31,6 @@ namespace {
 
 constexpr int MR = kGemmRowTile;
 constexpr int NR = kGemmColTile;
-constexpr int kNtScalarColTile = 4;  // Unpacked NT keeps 4×4 dot chains.
 static_assert(NR == 16, "microkernels assume one 16-lane (or two 8-lane) "
                         "vector of C columns per row");
 
@@ -49,98 +53,94 @@ void GemmRows(int64_t m, int64_t n, int64_t k,
 }
 
 // -- Microkernel tiles --------------------------------------------------------
-// All full tiles share one signature so the ISA is picked once per GEMM call
-// (function-pointer dispatch via __builtin_cpu_supports); the drivers and
-// edge tiles are ISA-agnostic scalar code. Per output element every variant
-// accumulates ascending p into a single chain from the same start value, so
-// lane width never changes results — vector lanes are distinct C columns.
-//
-// NN/TN tiles come in two zero-handling flavours with reference semantics:
-// `skip` replicates the reference's per-(row, p) `a == 0.0f` skip (it is
-// semantically observable — it avoids 0·inf → NaN and signed-zero flips);
-// `dense` drops the branch and is only chosen after a prescan proves the A
-// tile zero-free, where skipping and not-skipping are the same program.
-// NT tiles start each accumulator at 0 and combine with C at the end — the
-// reference's dot-then-combine association, distinct from NN/TN which seed
-// the accumulator from C.
+// A tile computes an mr×nr block of C (mr ≤ MR rows, nr ≤ NR columns) over
+// the whole k loop. Per output element every variant accumulates ascending p
+// into a single chain from the reference's start value, so lane width never
+// changes results — vector lanes are distinct C columns. Edge tiles are the
+// same kernels with lanes ≥ nr masked off every load, gather and store (never
+// read, never written) and the row count a template argument. The tier is
+// picked once per GEMM call; the row-tile loop is ISA-agnostic.
 
-using TileFn = void (*)(const float* a, int64_t a_i_stride,
-                        int64_t a_p_stride, const float* bpanel,
-                        int64_t b_p_stride, float* c, int64_t n, int64_t k,
-                        int64_t i0, int64_t j0, bool accumulate);
-using NtTileFn = void (*)(const float* a, const float* bpanel, float* c,
-                          int64_t n, int64_t k, int64_t i0, int64_t j0,
-                          bool accumulate);
+// What a tile computes, each with its reference's semantics:
+//  kDense/kSkip (NN/TN): the chain starts from C (accumulate) or 0 and is
+//    stored back. kSkip replicates the reference's per-(row, p) `a == 0.0f`
+//    skip (observable: it avoids 0·inf → NaN and signed-zero flips); kDense
+//    drops the branch and runs only after a prescan proves the row tile's A
+//    zero-free, where skipping and not skipping are the same program.
+//  kNt: the chain starts at 0 and combines as C + dot at the end — the
+//    reference's dot-then-combine association, distinct from NN/TN.
+//  kNtGather: kNt reading B (N,K) in place, lane jr gathered from row jr.
+enum class Mode { kDense, kSkip, kNt, kNtGather };
+
+// One tile call's operands. The mode and row count are template arguments
+// of the kernel the row-tile loop picks per row tile.
+struct Tile {
+  int nr;  // Valid columns (lanes), 1..NR.
+  bool accumulate;
+  const float* a;  // A(r, p) = a[r·a_i_stride + p·a_p_stride].
+  int64_t a_i_stride;
+  int64_t a_p_stride;
+  // Step p of lane jr: bp[jr] with bp = b + p·b_p_stride (kNtGather:
+  // bp[jr·k]).
+  const float* b;
+  int64_t b_p_stride;
+  float* c;  // C(r, jr) = c[r·ldc + jr].
+  int64_t ldc;
+  int64_t k;
+};
+
+using TileFn = void (*)(const Tile& t);
+// True iff any of the mr rows of A holds an element == 0.0f (matches ±0,
+// never NaN — the exact predicate the skip tile applies per element).
 using ZeroScanFn = bool (*)(const float* a, int64_t a_i_stride,
-                            int64_t a_p_stride, int64_t i0, int64_t k);
+                            int64_t a_p_stride, int mr, int64_t k);
 
-// ---- Portable scalar tiles (and the only path off x86-64) ----
-
-void TileDenseScalar(const float* a, int64_t a_i_stride, int64_t a_p_stride,
-                     const float* bpanel, int64_t b_p_stride, float* c,
-                     int64_t n, int64_t k, int64_t i0, int64_t j0,
-                     bool accumulate) {
-  for (int r = 0; r < MR; ++r) {
-    const float* ar = a + (i0 + r) * a_i_stride;
-    float* cr = c + (i0 + r) * n + j0;
-    float acc[NR];
-    for (int jr = 0; jr < NR; ++jr) acc[jr] = accumulate ? cr[jr] : 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = ar[p * a_p_stride];
-      const float* bp = bpanel + p * b_p_stride;
-      for (int jr = 0; jr < NR; ++jr) acc[jr] += av * bp[jr];
-    }
-    for (int jr = 0; jr < NR; ++jr) cr[jr] = acc[jr];
-  }
+constexpr bool IsNt(Mode mode) {
+  return mode == Mode::kNt || mode == Mode::kNtGather;
 }
 
-void TileSkipScalar(const float* a, int64_t a_i_stride, int64_t a_p_stride,
-                    const float* bpanel, int64_t b_p_stride, float* c,
-                    int64_t n, int64_t k, int64_t i0, int64_t j0,
-                    bool accumulate) {
-  for (int r = 0; r < MR; ++r) {
-    const float* ar = a + (i0 + r) * a_i_stride;
-    float* cr = c + (i0 + r) * n + j0;
-    float acc[NR];
-    for (int jr = 0; jr < NR; ++jr) acc[jr] = accumulate ? cr[jr] : 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = ar[p * a_p_stride];
-      if (av == 0.0f) continue;
-      const float* bp = bpanel + p * b_p_stride;
-      for (int jr = 0; jr < NR; ++jr) acc[jr] += av * bp[jr];
-    }
-    for (int jr = 0; jr < NR; ++jr) cr[jr] = acc[jr];
-  }
-}
+// ---- Portable scalar tier (and the only path off x86-64) ----
 
-void NtTileScalar(const float* a, const float* bpanel, float* c, int64_t n,
-                  int64_t k, int64_t i0, int64_t j0, bool accumulate) {
-  for (int r = 0; r < MR; ++r) {
-    const float* ar = a + (i0 + r) * k;
-    float* cr = c + (i0 + r) * n + j0;
-    float acc[NR];
-    for (int jr = 0; jr < NR; ++jr) acc[jr] = 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = ar[p];
-      const float* bp = bpanel + p * NR;
-      for (int jr = 0; jr < NR; ++jr) acc[jr] += av * bp[jr];
-    }
-    for (int jr = 0; jr < NR; ++jr) {
-      cr[jr] = accumulate ? cr[jr] + acc[jr] : acc[jr];
+struct Scalar {
+  template <int R, Mode kMode>
+  static void Kernel(const Tile& t) {
+    // A constant lane count lets the compiler vectorize full panels.
+    if (t.nr == NR && kMode != Mode::kNtGather) {
+      Rows<R, kMode, NR>(t);
+    } else {
+      Rows<R, kMode, 0>(t);
     }
   }
-}
 
-// Dense-tile eligibility prescan: true iff any A element in the MR-row tile
-// compares == 0.0f (matches ±0, never NaN — the exact predicate the skip
-// tile applies per element). This runs once per 4-row tile over 4×k floats,
-// so on small GEMMs it is a visible fraction of the whole product; the
-// vector variants below evaluate the same predicate 8/16 lanes at a time
-// (_CMP_EQ_OQ is the ordered quiet ==, identical to the scalar compare).
+  // kWidth = 0 reads the lane count from t.nr.
+  template <int R, Mode kMode, int kWidth>
+  static void Rows(const Tile& t) {
+    const int nr = kWidth != 0 ? kWidth : t.nr;
+    const int64_t lane_stride = kMode == Mode::kNtGather ? t.k : 1;
+    for (int r = 0; r < R; ++r) {
+      const float* ar = t.a + r * t.a_i_stride;
+      float* cr = t.c + r * t.ldc;
+      float acc[NR];
+      for (int jr = 0; jr < nr; ++jr) {
+        acc[jr] = !IsNt(kMode) && t.accumulate ? cr[jr] : 0.0f;
+      }
+      for (int64_t p = 0; p < t.k; ++p) {
+        const float av = ar[p * t.a_p_stride];
+        if (kMode == Mode::kSkip && av == 0.0f) continue;
+        const float* bp = t.b + p * t.b_p_stride;
+        for (int jr = 0; jr < nr; ++jr) acc[jr] += av * bp[jr * lane_stride];
+      }
+      for (int jr = 0; jr < nr; ++jr) {
+        cr[jr] = IsNt(kMode) && t.accumulate ? cr[jr] + acc[jr] : acc[jr];
+      }
+    }
+  }
+};
+
 bool TileHasZeroScalar(const float* a, int64_t a_i_stride, int64_t a_p_stride,
-                       int64_t i0, int64_t k) {
-  for (int r = 0; r < MR; ++r) {
-    const float* ar = a + (i0 + r) * a_i_stride;
+                       int mr, int64_t k) {
+  for (int r = 0; r < mr; ++r) {
+    const float* ar = a + r * a_i_stride;
     for (int64_t p = 0; p < k; ++p) {
       if (ar[p * a_p_stride] == 0.0f) return true;
     }
@@ -150,303 +150,206 @@ bool TileHasZeroScalar(const float* a, int64_t a_i_stride, int64_t a_p_stride,
 
 #if DELREC_GEMM_X86
 
-// ---- AVX2 tiles: NR = two 8-lane registers per row, 8 accumulators ----
+// ---- AVX-512 tier: one 16-lane register per row ----
+// Edge panels mask lanes ≥ nr (k-masks); full panels keep plain loads and
+// stores, whose loop has no spare port for a mask move.
 
-__attribute__((target("avx2"))) void TileDenseAvx2(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride,
-    const float* bpanel, int64_t b_p_stride, float* c, int64_t n, int64_t k,
-    int64_t i0, int64_t j0, bool accumulate) {
-  const float* a0 = a + (i0 + 0) * a_i_stride;
-  const float* a1 = a + (i0 + 1) * a_i_stride;
-  const float* a2 = a + (i0 + 2) * a_i_stride;
-  const float* a3 = a + (i0 + 3) * a_i_stride;
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  __m256 x0, y0, x1, y1, x2, y2, x3, y3;
-  if (accumulate) {
-    x0 = _mm256_loadu_ps(c0);
-    y0 = _mm256_loadu_ps(c0 + 8);
-    x1 = _mm256_loadu_ps(c1);
-    y1 = _mm256_loadu_ps(c1 + 8);
-    x2 = _mm256_loadu_ps(c2);
-    y2 = _mm256_loadu_ps(c2 + 8);
-    x3 = _mm256_loadu_ps(c3);
-    y3 = _mm256_loadu_ps(c3 + 8);
-  } else {
-    x0 = y0 = x1 = y1 = x2 = y2 = x3 = y3 = _mm256_setzero_ps();
-  }
-  for (int64_t p = 0; p < k; ++p) {
-    const float* bp = bpanel + p * b_p_stride;
-    const __m256 blo = _mm256_loadu_ps(bp);
-    const __m256 bhi = _mm256_loadu_ps(bp + 8);
-    const int64_t pa = p * a_p_stride;
-    __m256 av;
-    av = _mm256_set1_ps(a0[pa]);
-    x0 = _mm256_add_ps(x0, _mm256_mul_ps(av, blo));
-    y0 = _mm256_add_ps(y0, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a1[pa]);
-    x1 = _mm256_add_ps(x1, _mm256_mul_ps(av, blo));
-    y1 = _mm256_add_ps(y1, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a2[pa]);
-    x2 = _mm256_add_ps(x2, _mm256_mul_ps(av, blo));
-    y2 = _mm256_add_ps(y2, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a3[pa]);
-    x3 = _mm256_add_ps(x3, _mm256_mul_ps(av, blo));
-    y3 = _mm256_add_ps(y3, _mm256_mul_ps(av, bhi));
-  }
-  _mm256_storeu_ps(c0, x0);
-  _mm256_storeu_ps(c0 + 8, y0);
-  _mm256_storeu_ps(c1, x1);
-  _mm256_storeu_ps(c1 + 8, y1);
-  _mm256_storeu_ps(c2, x2);
-  _mm256_storeu_ps(c2 + 8, y2);
-  _mm256_storeu_ps(c3, x3);
-  _mm256_storeu_ps(c3 + 8, y3);
+template <bool kMasked>
+__attribute__((target("avx512f"))) inline __m512 LoadAvx512(
+    const float* src, __mmask16 lanes) {
+  return kMasked ? _mm512_maskz_loadu_ps(lanes, src) : _mm512_loadu_ps(src);
 }
 
-__attribute__((target("avx2"))) void TileSkipAvx2(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride,
-    const float* bpanel, int64_t b_p_stride, float* c, int64_t n, int64_t k,
-    int64_t i0, int64_t j0, bool accumulate) {
-  const float* a0 = a + (i0 + 0) * a_i_stride;
-  const float* a1 = a + (i0 + 1) * a_i_stride;
-  const float* a2 = a + (i0 + 2) * a_i_stride;
-  const float* a3 = a + (i0 + 3) * a_i_stride;
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  __m256 x0, y0, x1, y1, x2, y2, x3, y3;
-  if (accumulate) {
-    x0 = _mm256_loadu_ps(c0);
-    y0 = _mm256_loadu_ps(c0 + 8);
-    x1 = _mm256_loadu_ps(c1);
-    y1 = _mm256_loadu_ps(c1 + 8);
-    x2 = _mm256_loadu_ps(c2);
-    y2 = _mm256_loadu_ps(c2 + 8);
-    x3 = _mm256_loadu_ps(c3);
-    y3 = _mm256_loadu_ps(c3 + 8);
+template <bool kMasked>
+__attribute__((target("avx512f"))) inline void StoreAvx512(float* dst,
+                                                          __mmask16 lanes,
+                                                          __m512 v) {
+  if (kMasked) {
+    _mm512_mask_storeu_ps(dst, lanes, v);
   } else {
-    x0 = y0 = x1 = y1 = x2 = y2 = x3 = y3 = _mm256_setzero_ps();
+    _mm512_storeu_ps(dst, v);
   }
-  for (int64_t p = 0; p < k; ++p) {
-    const float* bp = bpanel + p * b_p_stride;
-    const __m256 blo = _mm256_loadu_ps(bp);
-    const __m256 bhi = _mm256_loadu_ps(bp + 8);
-    const int64_t pa = p * a_p_stride;
-    const float s0 = a0[pa];
-    if (s0 != 0.0f) {
-      const __m256 av = _mm256_set1_ps(s0);
-      x0 = _mm256_add_ps(x0, _mm256_mul_ps(av, blo));
-      y0 = _mm256_add_ps(y0, _mm256_mul_ps(av, bhi));
+}
+
+struct Avx512 {
+  template <int R, Mode kMode>
+  static void Kernel(const Tile& t) {
+    (t.nr == NR ? Body<R, false, kMode> : Body<R, true, kMode>)(t);
+  }
+
+  template <int R, bool kMasked, Mode kMode>
+  __attribute__((target("avx512f"))) static void Body(const Tile& t) {
+    // Locals, not t's fields, so the loop keeps them (and acc) in registers.
+    const __mmask16 lanes = static_cast<__mmask16>((1u << t.nr) - 1);
+    const float* const a = t.a;
+    const int64_t a_i_stride = t.a_i_stride, a_p_stride = t.a_p_stride;
+    const float* const b = t.b;
+    const int64_t b_p_stride = t.b_p_stride, k = t.k;
+    __m512 acc[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      acc[r] = !IsNt(kMode) && t.accumulate
+                   ? LoadAvx512<kMasked>(t.c + r * t.ldc, lanes)
+                   : _mm512_setzero_ps();
     }
-    const float s1 = a1[pa];
-    if (s1 != 0.0f) {
-      const __m256 av = _mm256_set1_ps(s1);
-      x1 = _mm256_add_ps(x1, _mm256_mul_ps(av, blo));
-      y1 = _mm256_add_ps(y1, _mm256_mul_ps(av, bhi));
+    [[maybe_unused]] __m512i rows_of_b;  // kNtGather: lane jr reads bp[jr·k].
+    if constexpr (kMode == Mode::kNtGather) {
+      rows_of_b = _mm512_mullo_epi32(
+          _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                            15),
+          _mm512_set1_epi32(static_cast<int>(k)));
     }
-    const float s2 = a2[pa];
-    if (s2 != 0.0f) {
-      const __m256 av = _mm256_set1_ps(s2);
-      x2 = _mm256_add_ps(x2, _mm256_mul_ps(av, blo));
-      y2 = _mm256_add_ps(y2, _mm256_mul_ps(av, bhi));
+    for (int64_t p = 0; p < k; ++p) {
+      const float* bp = b + p * b_p_stride;
+      __m512 bv;
+      if constexpr (kMode == Mode::kNtGather) {
+        bv = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), lanes, rows_of_b,
+                                      bp, 4);
+      } else {
+        bv = LoadAvx512<kMasked>(bp, lanes);
+      }
+      const float* ap = a + p * a_p_stride;
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const float s = ap[r * a_i_stride];
+        if (kMode == Mode::kSkip && s == 0.0f) continue;
+        acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(_mm512_set1_ps(s), bv));
+      }
     }
-    const float s3 = a3[pa];
-    if (s3 != 0.0f) {
-      const __m256 av = _mm256_set1_ps(s3);
-      x3 = _mm256_add_ps(x3, _mm256_mul_ps(av, blo));
-      y3 = _mm256_add_ps(y3, _mm256_mul_ps(av, bhi));
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      float* cr = t.c + r * t.ldc;
+      if (IsNt(kMode) && t.accumulate) {
+        // C first, dot second — the reference's `c += dot` operand order.
+        acc[r] = _mm512_add_ps(LoadAvx512<kMasked>(cr, lanes), acc[r]);
+      }
+      StoreAvx512<kMasked>(cr, lanes, acc[r]);
     }
   }
-  _mm256_storeu_ps(c0, x0);
-  _mm256_storeu_ps(c0 + 8, y0);
-  _mm256_storeu_ps(c1, x1);
-  _mm256_storeu_ps(c1 + 8, y1);
-  _mm256_storeu_ps(c2, x2);
-  _mm256_storeu_ps(c2 + 8, y2);
-  _mm256_storeu_ps(c3, x3);
-  _mm256_storeu_ps(c3 + 8, y3);
+};
+
+// ---- AVX2 tier: kHalves 8-lane registers per row (one when nr ≤ 8) ----
+// Only a partial last register is masked (vmaskmovps), so full panels keep
+// plain loads and stores.
+
+template <bool kMasked>
+__attribute__((target("avx2"))) inline __m256 LoadAvx2(const float* src,
+                                                       __m256i valid) {
+  return kMasked ? _mm256_maskload_ps(src, valid) : _mm256_loadu_ps(src);
 }
 
-__attribute__((target("avx2"))) void NtTileAvx2(const float* a,
-                                                const float* bpanel, float* c,
-                                                int64_t n, int64_t k,
-                                                int64_t i0, int64_t j0,
-                                                bool accumulate) {
-  const float* a0 = a + (i0 + 0) * k;
-  const float* a1 = a + (i0 + 1) * k;
-  const float* a2 = a + (i0 + 2) * k;
-  const float* a3 = a + (i0 + 3) * k;
-  __m256 x0, y0, x1, y1, x2, y2, x3, y3;
-  x0 = y0 = x1 = y1 = x2 = y2 = x3 = y3 = _mm256_setzero_ps();
-  for (int64_t p = 0; p < k; ++p) {
-    const float* bp = bpanel + p * NR;
-    const __m256 blo = _mm256_loadu_ps(bp);
-    const __m256 bhi = _mm256_loadu_ps(bp + 8);
-    __m256 av;
-    av = _mm256_set1_ps(a0[p]);
-    x0 = _mm256_add_ps(x0, _mm256_mul_ps(av, blo));
-    y0 = _mm256_add_ps(y0, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a1[p]);
-    x1 = _mm256_add_ps(x1, _mm256_mul_ps(av, blo));
-    y1 = _mm256_add_ps(y1, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a2[p]);
-    x2 = _mm256_add_ps(x2, _mm256_mul_ps(av, blo));
-    y2 = _mm256_add_ps(y2, _mm256_mul_ps(av, bhi));
-    av = _mm256_set1_ps(a3[p]);
-    x3 = _mm256_add_ps(x3, _mm256_mul_ps(av, blo));
-    y3 = _mm256_add_ps(y3, _mm256_mul_ps(av, bhi));
-  }
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  if (accumulate) {
-    // C first, dot second — the reference's `c += dot` operand order.
-    x0 = _mm256_add_ps(_mm256_loadu_ps(c0), x0);
-    y0 = _mm256_add_ps(_mm256_loadu_ps(c0 + 8), y0);
-    x1 = _mm256_add_ps(_mm256_loadu_ps(c1), x1);
-    y1 = _mm256_add_ps(_mm256_loadu_ps(c1 + 8), y1);
-    x2 = _mm256_add_ps(_mm256_loadu_ps(c2), x2);
-    y2 = _mm256_add_ps(_mm256_loadu_ps(c2 + 8), y2);
-    x3 = _mm256_add_ps(_mm256_loadu_ps(c3), x3);
-    y3 = _mm256_add_ps(_mm256_loadu_ps(c3 + 8), y3);
-  }
-  _mm256_storeu_ps(c0, x0);
-  _mm256_storeu_ps(c0 + 8, y0);
-  _mm256_storeu_ps(c1, x1);
-  _mm256_storeu_ps(c1 + 8, y1);
-  _mm256_storeu_ps(c2, x2);
-  _mm256_storeu_ps(c2 + 8, y2);
-  _mm256_storeu_ps(c3, x3);
-  _mm256_storeu_ps(c3 + 8, y3);
-}
-
-// ---- AVX-512 tiles: NR = one 16-lane register per row, 4 accumulators ----
-
-__attribute__((target("avx512f"))) void TileDenseAvx512(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride,
-    const float* bpanel, int64_t b_p_stride, float* c, int64_t n, int64_t k,
-    int64_t i0, int64_t j0, bool accumulate) {
-  const float* a0 = a + (i0 + 0) * a_i_stride;
-  const float* a1 = a + (i0 + 1) * a_i_stride;
-  const float* a2 = a + (i0 + 2) * a_i_stride;
-  const float* a3 = a + (i0 + 3) * a_i_stride;
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  __m512 r0, r1, r2, r3;
-  if (accumulate) {
-    r0 = _mm512_loadu_ps(c0);
-    r1 = _mm512_loadu_ps(c1);
-    r2 = _mm512_loadu_ps(c2);
-    r3 = _mm512_loadu_ps(c3);
+template <bool kMasked>
+__attribute__((target("avx2"))) inline void StoreAvx2(float* dst,
+                                                      __m256i valid,
+                                                      __m256 v) {
+  if (kMasked) {
+    _mm256_maskstore_ps(dst, valid, v);
   } else {
-    r0 = r1 = r2 = r3 = _mm512_setzero_ps();
+    _mm256_storeu_ps(dst, v);
   }
-  for (int64_t p = 0; p < k; ++p) {
-    const __m512 b = _mm512_loadu_ps(bpanel + p * b_p_stride);
-    const int64_t pa = p * a_p_stride;
-    r0 = _mm512_add_ps(r0, _mm512_mul_ps(_mm512_set1_ps(a0[pa]), b));
-    r1 = _mm512_add_ps(r1, _mm512_mul_ps(_mm512_set1_ps(a1[pa]), b));
-    r2 = _mm512_add_ps(r2, _mm512_mul_ps(_mm512_set1_ps(a2[pa]), b));
-    r3 = _mm512_add_ps(r3, _mm512_mul_ps(_mm512_set1_ps(a3[pa]), b));
-  }
-  _mm512_storeu_ps(c0, r0);
-  _mm512_storeu_ps(c1, r1);
-  _mm512_storeu_ps(c2, r2);
-  _mm512_storeu_ps(c3, r3);
 }
 
-__attribute__((target("avx512f"))) void TileSkipAvx512(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride,
-    const float* bpanel, int64_t b_p_stride, float* c, int64_t n, int64_t k,
-    int64_t i0, int64_t j0, bool accumulate) {
-  const float* a0 = a + (i0 + 0) * a_i_stride;
-  const float* a1 = a + (i0 + 1) * a_i_stride;
-  const float* a2 = a + (i0 + 2) * a_i_stride;
-  const float* a3 = a + (i0 + 3) * a_i_stride;
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  __m512 r0, r1, r2, r3;
-  if (accumulate) {
-    r0 = _mm512_loadu_ps(c0);
-    r1 = _mm512_loadu_ps(c1);
-    r2 = _mm512_loadu_ps(c2);
-    r3 = _mm512_loadu_ps(c3);
-  } else {
-    r0 = r1 = r2 = r3 = _mm512_setzero_ps();
+struct Avx2 {
+  template <int R, Mode kMode>
+  static void Kernel(const Tile& t) {
+    if (t.nr > 8) {
+      (t.nr == NR ? Body<R, 2, false, kMode> : Body<R, 2, true, kMode>)(t);
+    } else {
+      (t.nr == 8 ? Body<R, 1, false, kMode> : Body<R, 1, true, kMode>)(t);
+    }
   }
-  for (int64_t p = 0; p < k; ++p) {
-    const __m512 b = _mm512_loadu_ps(bpanel + p * b_p_stride);
-    const int64_t pa = p * a_p_stride;
-    const float s0 = a0[pa];
-    if (s0 != 0.0f) r0 = _mm512_add_ps(r0, _mm512_mul_ps(_mm512_set1_ps(s0), b));
-    const float s1 = a1[pa];
-    if (s1 != 0.0f) r1 = _mm512_add_ps(r1, _mm512_mul_ps(_mm512_set1_ps(s1), b));
-    const float s2 = a2[pa];
-    if (s2 != 0.0f) r2 = _mm512_add_ps(r2, _mm512_mul_ps(_mm512_set1_ps(s2), b));
-    const float s3 = a3[pa];
-    if (s3 != 0.0f) r3 = _mm512_add_ps(r3, _mm512_mul_ps(_mm512_set1_ps(s3), b));
-  }
-  _mm512_storeu_ps(c0, r0);
-  _mm512_storeu_ps(c1, r1);
-  _mm512_storeu_ps(c2, r2);
-  _mm512_storeu_ps(c3, r3);
-}
 
-__attribute__((target("avx512f"))) void NtTileAvx512(
-    const float* a, const float* bpanel, float* c, int64_t n, int64_t k,
-    int64_t i0, int64_t j0, bool accumulate) {
-  const float* a0 = a + (i0 + 0) * k;
-  const float* a1 = a + (i0 + 1) * k;
-  const float* a2 = a + (i0 + 2) * k;
-  const float* a3 = a + (i0 + 3) * k;
-  __m512 r0, r1, r2, r3;
-  r0 = r1 = r2 = r3 = _mm512_setzero_ps();
-  for (int64_t p = 0; p < k; ++p) {
-    const __m512 b = _mm512_loadu_ps(bpanel + p * NR);
-    r0 = _mm512_add_ps(r0, _mm512_mul_ps(_mm512_set1_ps(a0[p]), b));
-    r1 = _mm512_add_ps(r1, _mm512_mul_ps(_mm512_set1_ps(a1[p]), b));
-    r2 = _mm512_add_ps(r2, _mm512_mul_ps(_mm512_set1_ps(a2[p]), b));
-    r3 = _mm512_add_ps(r3, _mm512_mul_ps(_mm512_set1_ps(a3[p]), b));
+  // kMasked: the last of the kHalves registers holds fewer than 8 lanes.
+  template <int R, int kHalves, bool kMasked, Mode kMode>
+  __attribute__((target("avx2"))) static void Body(const Tile& t) {
+    constexpr int kLast = kHalves - 1;
+    // Locals, not t's fields, so the loop keeps them (and acc) in registers.
+    const float* const a = t.a;
+    const int64_t a_i_stride = t.a_i_stride, a_p_stride = t.a_p_stride;
+    const float* const b = t.b;
+    const int64_t b_p_stride = t.b_p_stride, k = t.k;
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    // Lane jr of the last register is valid iff 8·kLast + jr < nr.
+    const __m256i valid =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(t.nr - 8 * kLast), lane);
+    __m256 acc[R][kHalves];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float* cr = t.c + r * t.ldc;
+      if (!IsNt(kMode) && t.accumulate) {
+        if (kHalves == 2) acc[r][0] = _mm256_loadu_ps(cr);
+        acc[r][kLast] = LoadAvx2<kMasked>(cr + 8 * kLast, valid);
+      } else {
+#pragma GCC unroll 2
+        for (int h = 0; h < kHalves; ++h) acc[r][h] = _mm256_setzero_ps();
+      }
+    }
+    [[maybe_unused]] __m256i rows_of_b[kHalves];  // kNtGather: bp[jr·k].
+    if constexpr (kMode == Mode::kNtGather) {
+      const __m256i depth = _mm256_set1_epi32(static_cast<int>(k));
+      rows_of_b[0] = _mm256_mullo_epi32(lane, depth);
+      rows_of_b[kLast] = _mm256_mullo_epi32(
+          _mm256_add_epi32(lane, _mm256_set1_epi32(8 * kLast)), depth);
+    }
+    for (int64_t p = 0; p < k; ++p) {
+      const float* bp = b + p * b_p_stride;
+      __m256 bv[kHalves];
+      if constexpr (kMode == Mode::kNtGather) {
+        const __m256 all = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+        if (kHalves == 2) {
+          bv[0] = _mm256_mask_i32gather_ps(_mm256_setzero_ps(), bp,
+                                           rows_of_b[0], all, 4);
+        }
+        bv[kLast] = _mm256_mask_i32gather_ps(_mm256_setzero_ps(), bp,
+                                             rows_of_b[kLast],
+                                             _mm256_castsi256_ps(valid), 4);
+      } else {
+        if (kHalves == 2) bv[0] = _mm256_loadu_ps(bp);
+        bv[kLast] = LoadAvx2<kMasked>(bp + 8 * kLast, valid);
+      }
+      const float* ap = a + p * a_p_stride;
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        const float s = ap[r * a_i_stride];
+        if (kMode == Mode::kSkip && s == 0.0f) continue;
+        const __m256 av = _mm256_set1_ps(s);
+#pragma GCC unroll 2
+        for (int h = 0; h < kHalves; ++h) {
+          acc[r][h] = _mm256_add_ps(acc[r][h], _mm256_mul_ps(av, bv[h]));
+        }
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      float* cr = t.c + r * t.ldc;
+      if (IsNt(kMode) && t.accumulate) {
+        // C first, dot second — the reference's `c += dot` operand order.
+        if (kHalves == 2) {
+          acc[r][0] = _mm256_add_ps(_mm256_loadu_ps(cr), acc[r][0]);
+        }
+        acc[r][kLast] = _mm256_add_ps(
+            LoadAvx2<kMasked>(cr + 8 * kLast, valid), acc[r][kLast]);
+      }
+      if (kHalves == 2) _mm256_storeu_ps(cr, acc[r][0]);
+      StoreAvx2<kMasked>(cr + 8 * kLast, valid, acc[r][kLast]);
+    }
   }
-  float* c0 = c + (i0 + 0) * n + j0;
-  float* c1 = c + (i0 + 1) * n + j0;
-  float* c2 = c + (i0 + 2) * n + j0;
-  float* c3 = c + (i0 + 3) * n + j0;
-  if (accumulate) {
-    // C first, dot second — the reference's `c += dot` operand order.
-    r0 = _mm512_add_ps(_mm512_loadu_ps(c0), r0);
-    r1 = _mm512_add_ps(_mm512_loadu_ps(c1), r1);
-    r2 = _mm512_add_ps(_mm512_loadu_ps(c2), r2);
-    r3 = _mm512_add_ps(_mm512_loadu_ps(c3), r3);
-  }
-  _mm512_storeu_ps(c0, r0);
-  _mm512_storeu_ps(c1, r1);
-  _mm512_storeu_ps(c2, r2);
-  _mm512_storeu_ps(c3, r3);
-}
+};
 
-// Vector zero scans: only the contiguous-row layout (NN path, a_p_stride ==
-// 1) vectorizes; the strided TN layout falls back to the scalar scan. A
-// prescan is a pure predicate — speeding it up cannot change any result.
+// Vector zero scans: only the contiguous-row layout (NN, a_p_stride == 1)
+// vectorizes; the strided TN layout falls back to the scalar scan. A prescan
+// is a pure predicate — speeding it up cannot change any result.
+// (_CMP_EQ_OQ is the ordered quiet ==, identical to the scalar compare.)
 
 __attribute__((target("avx2"))) bool TileHasZeroAvx2(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride, int64_t i0,
+    const float* a, int64_t a_i_stride, int64_t a_p_stride, int mr,
     int64_t k) {
   if (a_p_stride != 1) {
-    return TileHasZeroScalar(a, a_i_stride, a_p_stride, i0, k);
+    return TileHasZeroScalar(a, a_i_stride, a_p_stride, mr, k);
   }
   const __m256 zero = _mm256_setzero_ps();
-  for (int r = 0; r < MR; ++r) {
-    const float* ar = a + (i0 + r) * a_i_stride;
+  for (int r = 0; r < mr; ++r) {
+    const float* ar = a + r * a_i_stride;
     int64_t p = 0;
     for (; p + 8 <= k; p += 8) {
       const __m256 eq =
@@ -461,14 +364,14 @@ __attribute__((target("avx2"))) bool TileHasZeroAvx2(
 }
 
 __attribute__((target("avx512f"))) bool TileHasZeroAvx512(
-    const float* a, int64_t a_i_stride, int64_t a_p_stride, int64_t i0,
+    const float* a, int64_t a_i_stride, int64_t a_p_stride, int mr,
     int64_t k) {
   if (a_p_stride != 1) {
-    return TileHasZeroScalar(a, a_i_stride, a_p_stride, i0, k);
+    return TileHasZeroScalar(a, a_i_stride, a_p_stride, mr, k);
   }
   const __m512 zero = _mm512_setzero_ps();
-  for (int r = 0; r < MR; ++r) {
-    const float* ar = a + (i0 + r) * a_i_stride;
+  for (int r = 0; r < mr; ++r) {
+    const float* ar = a + r * a_i_stride;
     int64_t p = 0;
     for (; p + 16 <= k; p += 16) {
       if (_mm512_cmp_ps_mask(_mm512_loadu_ps(ar + p), zero, _CMP_EQ_OQ)) {
@@ -490,33 +393,117 @@ __attribute__((target("avx512f"))) bool TileHasZeroAvx512(
 
 #endif  // DELREC_GEMM_X86
 
+// Every (mode, row count) instantiation of a tier's Kernel, indexed
+// [mode][mr - 1]: the row-tile loop picks one per row tile, and each runs
+// with its accumulators in registers.
+constexpr int kModeCount = static_cast<int>(Mode::kNtGather) + 1;
+using KernelTable = std::array<std::array<TileFn, MR>, kModeCount>;
+
+template <class Tier, Mode kMode>
+constexpr std::array<TileFn, MR> RowKernels() {
+  static_assert(MR == 4, "one kernel per row count 1..MR");
+  return {Tier::template Kernel<1, kMode>, Tier::template Kernel<2, kMode>,
+          Tier::template Kernel<3, kMode>, Tier::template Kernel<4, kMode>};
+}
+
+template <class Tier>
+constexpr KernelTable Kernels() {
+  return {RowKernels<Tier, Mode::kDense>(), RowKernels<Tier, Mode::kSkip>(),
+          RowKernels<Tier, Mode::kNt>(), RowKernels<Tier, Mode::kNtGather>()};
+}
+
 struct TileSet {
-  TileFn dense;
-  TileFn skip;
-  NtTileFn nt;
+  KernelTable kernels;
   ZeroScanFn has_zero;
   const char* isa;
 };
 
-const TileSet& PickTiles() {
-  static const TileSet tiles = [] {
 #if DELREC_GEMM_X86
-    if (__builtin_cpu_supports("avx512f")) {
-      return TileSet{TileDenseAvx512, TileSkipAvx512, NtTileAvx512,
-                     TileHasZeroAvx512, "avx512"};
-    }
-    if (__builtin_cpu_supports("avx2")) {
-      return TileSet{TileDenseAvx2, TileSkipAvx2, NtTileAvx2, TileHasZeroAvx2,
-                     "avx2"};
-    }
-    return TileSet{TileDenseScalar, TileSkipScalar, NtTileScalar,
-                   TileHasZeroScalar, "sse2"};
+constexpr TileSet kAvx512Tiles{Kernels<Avx512>(), TileHasZeroAvx512, "avx512"};
+constexpr TileSet kAvx2Tiles{Kernels<Avx2>(), TileHasZeroAvx2, "avx2"};
+constexpr TileSet kScalarTiles{Kernels<Scalar>(), TileHasZeroScalar, "sse2"};
 #else
-    return TileSet{TileDenseScalar, TileSkipScalar, NtTileScalar,
-                   TileHasZeroScalar, "portable"};
+constexpr TileSet kScalarTiles{Kernels<Scalar>(), TileHasZeroScalar,
+                               "portable"};
 #endif
-  }();
-  return tiles;
+
+// The tiers this host can run, fastest first.
+std::vector<const TileSet*> SupportedTiles() {
+  std::vector<const TileSet*> tiers;
+#if DELREC_GEMM_X86
+  if (__builtin_cpu_supports("avx512f")) tiers.push_back(&kAvx512Tiles);
+  if (__builtin_cpu_supports("avx2")) tiers.push_back(&kAvx2Tiles);
+#endif
+  tiers.push_back(&kScalarTiles);
+  return tiers;
+}
+
+// Set only by ScopedGemmIsa (tests); nullptr means the fastest tier.
+std::atomic<const TileSet*> pinned_tiles{nullptr};
+
+const TileSet& PickTiles() {
+  if (const TileSet* pinned = pinned_tiles.load(std::memory_order_acquire)) {
+    return *pinned;
+  }
+  static const TileSet* const fastest = SupportedTiles().front();
+  return *fastest;
+}
+
+// -- Row-tile loop ------------------------------------------------------------
+// One row-tile loop serves all three products: MR-row tiles of C, each swept
+// across the NR-wide column panels of B. Panel jb starts at b +
+// jb·panel_stride; A, B and C addressing is as in Tile.
+
+struct GemmPlan {
+  const float* a;
+  int64_t a_i_stride;
+  int64_t a_p_stride;
+  const float* b;
+  int64_t panel_stride;
+  int64_t b_p_stride;
+  float* c;
+  int64_t n;
+  int64_t k;
+  // NN/TN plans carry kDense; a row tile whose A rows hold a zero runs
+  // kSkip instead. NT plans run their mode as is.
+  Mode mode;
+  bool accumulate;
+  const TileSet* tiles;
+};
+
+void PlanRows(const GemmPlan& plan, int64_t row_begin, int64_t row_end) {
+  const int64_t num_panels = (plan.n + NR - 1) / NR;
+  Tile t;
+  t.accumulate = plan.accumulate;
+  t.a_i_stride = plan.a_i_stride;
+  t.a_p_stride = plan.a_p_stride;
+  t.b_p_stride = plan.b_p_stride;
+  t.ldc = plan.n;
+  t.k = plan.k;
+  for (int64_t i = row_begin; i < row_end; i += MR) {
+    const int mr = static_cast<int>(std::min<int64_t>(MR, row_end - i));
+    t.a = plan.a + i * plan.a_i_stride;
+    const Mode mode =
+        plan.mode == Mode::kDense &&
+                plan.tiles->has_zero(t.a, t.a_i_stride, t.a_p_stride, mr, t.k)
+            ? Mode::kSkip
+            : plan.mode;
+    const TileFn kernel =
+        plan.tiles->kernels[static_cast<int>(mode)][mr - 1];
+    for (int64_t jb = 0; jb < num_panels; ++jb) {
+      const int64_t j0 = jb * NR;
+      t.nr = static_cast<int>(std::min<int64_t>(NR, plan.n - j0));
+      t.b = plan.b + jb * plan.panel_stride;
+      t.c = plan.c + i * plan.n + j0;
+      kernel(t);
+    }
+  }
+}
+
+void RunPlan(const GemmPlan& plan, int64_t m) {
+  GemmRows(m, plan.n, plan.k, [&plan](int64_t row_begin, int64_t row_end) {
+    PlanRows(plan, row_begin, row_end);
+  });
 }
 
 // -- Blocked NN / TN ----------------------------------------------------------
@@ -524,85 +511,23 @@ const TileSet& PickTiles() {
 // they differ only in how A is addressed: A(i,p) = a[i·a_i_stride +
 // p·a_p_stride] (NN: strides (k,1); TN with A stored (K,M): strides (1,m)).
 
-// Remainder tile (mr < MR and/or nr < NR): same accumulation structure with
-// runtime bounds; always uses the skip form (identical on zero-free data).
-void MicroTileEdge(const float* a, int64_t a_i_stride, int64_t a_p_stride,
-                   const float* bpanel, int64_t b_p_stride, float* c,
-                   int64_t n, int64_t k, int64_t i0, int mr, int64_t j0,
-                   int nr, bool accumulate) {
-  for (int r = 0; r < mr; ++r) {
-    const float* ar = a + (i0 + r) * a_i_stride;
-    float* cr = c + (i0 + r) * n + j0;
-    float acc[NR];
-    for (int jr = 0; jr < nr; ++jr) acc[jr] = accumulate ? cr[jr] : 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = ar[p * a_p_stride];
-      if (av == 0.0f) continue;
-      const float* bp = bpanel + p * b_p_stride;
-      for (int jr = 0; jr < nr; ++jr) acc[jr] += av * bp[jr];
-    }
-    for (int jr = 0; jr < nr; ++jr) cr[jr] = acc[jr];
-  }
-}
-
-struct AxBContext {
-  const float* a;
-  int64_t a_i_stride;
-  int64_t a_p_stride;
-  const float* b;       // Unpacked row-major (K,N) view.
-  const float* packed;  // NR-wide panels, or nullptr when unpacked.
-  float* c;
-  int64_t n;
-  int64_t k;
-  int64_t num_panels;
-  bool accumulate;
-  TileFn dense;
-  TileFn skip;
-  ZeroScanFn has_zero;
-};
-
-void AxBRows(const AxBContext& ctx, int64_t row_begin, int64_t row_end) {
-  for (int64_t i = row_begin; i < row_end; i += MR) {
-    const int mr = static_cast<int>(std::min<int64_t>(MR, row_end - i));
-    const bool dense =
-        mr == MR && ctx.n >= NR &&
-        !ctx.has_zero(ctx.a, ctx.a_i_stride, ctx.a_p_stride, i, ctx.k);
-    for (int64_t jb = 0; jb < ctx.num_panels; ++jb) {
-      const int64_t j0 = jb * NR;
-      const int nr = static_cast<int>(std::min<int64_t>(NR, ctx.n - j0));
-      const float* bpanel =
-          ctx.packed != nullptr ? ctx.packed + jb * ctx.k * NR : ctx.b + j0;
-      const int64_t b_p_stride = ctx.packed != nullptr ? NR : ctx.n;
-      if (mr == MR && nr == NR) {
-        (dense ? ctx.dense : ctx.skip)(ctx.a, ctx.a_i_stride, ctx.a_p_stride,
-                                       bpanel, b_p_stride, ctx.c, ctx.n,
-                                       ctx.k, i, j0, ctx.accumulate);
-      } else {
-        MicroTileEdge(ctx.a, ctx.a_i_stride, ctx.a_p_stride, bpanel,
-                      b_p_stride, ctx.c, ctx.n, ctx.k, i, mr, j0, nr,
-                      ctx.accumulate);
-      }
-    }
-  }
-}
-
 void BlockedAxB(const float* a, int64_t a_i_stride, int64_t a_p_stride,
                 const float* b, float* c, int64_t m, int64_t n, int64_t k,
                 bool accumulate) {
   if (m == 0 || n == 0) return;
-  const int64_t num_panels = (n + NR - 1) / NR;
-  const TileSet& tiles = PickTiles();
+  // Unpacked, panel jb is the in-place view b + jb·NR with row stride n.
+  GemmPlan plan{a, a_i_stride, a_p_stride, b,          /*panel_stride=*/NR,
+                /*b_p_stride=*/n, c, n, k, Mode::kDense, accumulate,
+                &PickTiles()};
   // Pack B into contiguous NR-wide panels once per call when enough row
   // tiles will reuse it (the pack is one extra pass over B; with few rows
   // the in-place panel view is cheaper). Edge-panel tail lanes are left
-  // unwritten — only MicroTileEdge touches edge panels and it reads nr
-  // valid lanes. The pack buffer is pooled scratch shared read-only by all
-  // row chunks; ParallelFor joins before the arena releases it.
+  // unwritten — tiles never read lanes ≥ nr. The pack buffer is pooled
+  // scratch shared read-only by all row chunks; ParallelFor joins before the
+  // arena releases it.
   util::ScopedArena arena;
-  AxBContext ctx{a,           a_i_stride, a_p_stride, b, nullptr,       c,
-                 n,           k,          num_panels, accumulate,
-                 tiles.dense, tiles.skip, tiles.has_zero};
   if (m >= kGemmPackMinRows && n > NR) {
+    const int64_t num_panels = (n + NR - 1) / NR;
     float* pack = arena.Alloc(static_cast<size_t>(num_panels) * k * NR);
     for (int64_t jb = 0; jb < num_panels; ++jb) {
       const int nr = static_cast<int>(std::min<int64_t>(NR, n - jb * NR));
@@ -614,123 +539,11 @@ void BlockedAxB(const float* a, int64_t a_i_stride, int64_t a_p_stride,
         }
       }
     }
-    ctx.packed = pack;
+    plan.b = pack;
+    plan.panel_stride = k * NR;
+    plan.b_p_stride = NR;
   }
-  GemmRows(m, n, k, [&ctx](int64_t row_begin, int64_t row_end) {
-    AxBRows(ctx, row_begin, row_end);
-  });
-}
-
-// -- Blocked NT ---------------------------------------------------------------
-// C(i,j) = Σ_p A(i,p)·B(j,p), both operands stored contiguous along k. With
-// enough rows B is transpose-packed into NR-wide panels (panel[p·NR + jr] =
-// B(j0+jr, p)), which turns the inner update into the same lane-parallel
-// shape as NN — lanes are distinct output columns, each lane still a single
-// ascending-p chain with the reference's dot-then-combine association.
-// Small-m calls skip the pack and use MR×4 independent scalar dot chains.
-
-void NtPanelEdge(const float* a, const float* bpanel, float* c, int64_t n,
-                 int64_t k, int64_t i0, int mr, int64_t j0, int nr,
-                 bool accumulate) {
-  for (int r = 0; r < mr; ++r) {
-    const float* ar = a + (i0 + r) * k;
-    float* cr = c + (i0 + r) * n + j0;
-    float acc[NR];
-    for (int jr = 0; jr < nr; ++jr) acc[jr] = 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float av = ar[p];
-      const float* bp = bpanel + p * NR;
-      for (int jr = 0; jr < nr; ++jr) acc[jr] += av * bp[jr];
-    }
-    for (int jr = 0; jr < nr; ++jr) {
-      cr[jr] = accumulate ? cr[jr] + acc[jr] : acc[jr];
-    }
-  }
-}
-
-struct NtContext {
-  const float* a;
-  const float* b;       // (N,K) rows, used by the unpacked path.
-  const float* packed;  // Transpose-packed NR-wide panels, or nullptr.
-  float* c;
-  int64_t n;
-  int64_t k;
-  int64_t num_panels;
-  bool accumulate;
-  NtTileFn tile;
-};
-
-void NtPackedRows(const NtContext& ctx, int64_t row_begin, int64_t row_end) {
-  for (int64_t i = row_begin; i < row_end; i += MR) {
-    const int mr = static_cast<int>(std::min<int64_t>(MR, row_end - i));
-    for (int64_t jb = 0; jb < ctx.num_panels; ++jb) {
-      const int64_t j0 = jb * NR;
-      const int nr = static_cast<int>(std::min<int64_t>(NR, ctx.n - j0));
-      const float* bpanel = ctx.packed + jb * ctx.k * NR;
-      if (mr == MR && nr == NR) {
-        ctx.tile(ctx.a, bpanel, ctx.c, ctx.n, ctx.k, i, j0, ctx.accumulate);
-      } else {
-        NtPanelEdge(ctx.a, bpanel, ctx.c, ctx.n, ctx.k, i, mr, j0, nr,
-                    ctx.accumulate);
-      }
-    }
-  }
-}
-
-// Unpacked small-m NT: MR×4 independent scalar dot chains.
-void NtDotTile(const float* a, const float* b, float* c, int64_t n, int64_t k,
-               int64_t i0, int64_t j0, bool accumulate) {
-  const float* arow[MR];
-  const float* brow[kNtScalarColTile];
-  for (int r = 0; r < MR; ++r) arow[r] = a + (i0 + r) * k;
-  for (int jj = 0; jj < kNtScalarColTile; ++jj) brow[jj] = b + (j0 + jj) * k;
-  float acc[MR][kNtScalarColTile] = {};
-  for (int64_t p = 0; p < k; ++p) {
-    float av[MR], bv[kNtScalarColTile];
-    for (int r = 0; r < MR; ++r) av[r] = arow[r][p];
-    for (int jj = 0; jj < kNtScalarColTile; ++jj) bv[jj] = brow[jj][p];
-    for (int r = 0; r < MR; ++r) {
-      for (int jj = 0; jj < kNtScalarColTile; ++jj) {
-        acc[r][jj] += av[r] * bv[jj];
-      }
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    float* cr = c + (i0 + r) * n + j0;
-    for (int jj = 0; jj < kNtScalarColTile; ++jj) {
-      cr[jj] = accumulate ? cr[jj] + acc[r][jj] : acc[r][jj];
-    }
-  }
-}
-
-void NtDotEdge(const float* a, const float* b, float* c, int64_t n, int64_t k,
-               int64_t i0, int mr, int64_t j0, int nr, bool accumulate) {
-  for (int r = 0; r < mr; ++r) {
-    const float* ar = a + (i0 + r) * k;
-    float* cr = c + (i0 + r) * n + j0;
-    for (int jj = 0; jj < nr; ++jj) {
-      const float* br = b + (j0 + jj) * k;
-      float dot = 0.0f;
-      for (int64_t p = 0; p < k; ++p) dot += ar[p] * br[p];
-      cr[jj] = accumulate ? cr[jj] + dot : dot;
-    }
-  }
-}
-
-void NtDotRows(const NtContext& ctx, int64_t row_begin, int64_t row_end) {
-  for (int64_t i = row_begin; i < row_end; i += MR) {
-    const int mr = static_cast<int>(std::min<int64_t>(MR, row_end - i));
-    for (int64_t j0 = 0; j0 < ctx.n; j0 += kNtScalarColTile) {
-      const int nr =
-          static_cast<int>(std::min<int64_t>(kNtScalarColTile, ctx.n - j0));
-      if (mr == MR && nr == kNtScalarColTile) {
-        NtDotTile(ctx.a, ctx.b, ctx.c, ctx.n, ctx.k, i, j0, ctx.accumulate);
-      } else {
-        NtDotEdge(ctx.a, ctx.b, ctx.c, ctx.n, ctx.k, i, mr, j0, nr,
-                  ctx.accumulate);
-      }
-    }
-  }
+  RunPlan(plan, m);
 }
 
 }  // namespace
@@ -748,16 +561,26 @@ void GemmTN(const float* a, const float* b, float* c, int64_t m, int64_t n,
              accumulate);
 }
 
+// -- Blocked NT ---------------------------------------------------------------
+// C(i,j) = Σ_p A(i,p)·B(j,p), both operands stored contiguous along k. With
+// enough rows B is transpose-packed into NR-wide panels (panel[p·NR + jr] =
+// B(j0+jr, p)), which turns the inner update into the same lane-parallel
+// shape as NN — lanes are distinct output columns, each lane still a single
+// ascending-p chain with the reference's dot-then-combine association.
+// Small-m calls skip the pack: their tiles gather each step's NR lanes
+// straight from B's rows (offsets jr·k fit int32 up to kMaxGatherDepth).
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t n,
             int64_t k, bool accumulate) {
   if (m == 0 || n == 0) return;
-  const int64_t num_panels = (n + NR - 1) / NR;
+  constexpr int64_t kMaxGatherDepth =
+      std::numeric_limits<int32_t>::max() / NR;
+  GemmPlan plan{a, /*a_i_stride=*/k, /*a_p_stride=*/1, b,
+                /*panel_stride=*/NR * k, /*b_p_stride=*/1, c, n, k,
+                Mode::kNtGather, accumulate, &PickTiles()};
   util::ScopedArena arena;
-  NtContext ctx{a, b, nullptr, c, n, k, num_panels, accumulate,
-                PickTiles().nt};
-  if (m >= kGemmPackMinRows) {
-    // Transpose-pack B so the microkernel reads NR output columns per load;
-    // the pack costs one pass over B, amortized across m/MR row tiles.
+  if (m >= kGemmPackMinRows || k > kMaxGatherDepth) {
+    // The pack costs one pass over B, amortized across m/MR row tiles.
+    const int64_t num_panels = (n + NR - 1) / NR;
     float* pack = arena.Alloc(static_cast<size_t>(num_panels) * k * NR);
     for (int64_t jb = 0; jb < num_panels; ++jb) {
       const int nr = static_cast<int>(std::min<int64_t>(NR, n - jb * NR));
@@ -767,15 +590,12 @@ void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t n,
         for (int64_t p = 0; p < k; ++p) panel[p * NR + jr] = bcol[p];
       }
     }
-    ctx.packed = pack;
-    GemmRows(m, n, k, [&ctx](int64_t row_begin, int64_t row_end) {
-      NtPackedRows(ctx, row_begin, row_end);
-    });
-  } else {
-    GemmRows(m, n, k, [&ctx](int64_t row_begin, int64_t row_end) {
-      NtDotRows(ctx, row_begin, row_end);
-    });
+    plan.b = pack;
+    plan.panel_stride = k * NR;
+    plan.b_p_stride = NR;
+    plan.mode = Mode::kNt;
   }
+  RunPlan(plan, m);
 }
 
 // -- Reference kernels --------------------------------------------------------
@@ -836,12 +656,34 @@ std::string GemmKernelConfig() {
   const char* native = "off";
 #endif
   return "blocked " + std::to_string(kGemmRowTile) + "x" +
-         std::to_string(kGemmColTile) + " microkernel, packed-B (m>=" +
-         std::to_string(kGemmPackMinRows) + "), isa=" +
+         std::to_string(kGemmColTile) + " microkernel, masked edges, " +
+         "packed-B (m>=" + std::to_string(kGemmPackMinRows) + "), isa=" +
          PickTiles().isa + ", fp-contract=off, pool-backed pack buffers, "
          "march=native " + native;
 }
 
 std::string GemmKernelIsa() { return PickTiles().isa; }
+
+std::vector<std::string> GemmSupportedIsas() {
+  std::vector<std::string> isas;
+  for (const TileSet* tiles : SupportedTiles()) isas.emplace_back(tiles->isa);
+  return isas;
+}
+
+ScopedGemmIsa::ScopedGemmIsa(const std::string& isa)
+    : previous_(pinned_tiles.load(std::memory_order_acquire)) {
+  const TileSet* match = nullptr;
+  for (const TileSet* tiles : SupportedTiles()) {
+    if (isa == tiles->isa) match = tiles;
+  }
+  DELREC_CHECK(match != nullptr)
+      << "GEMM tier \"" << isa << "\" is not supported on this host";
+  pinned_tiles.store(match, std::memory_order_release);
+}
+
+ScopedGemmIsa::~ScopedGemmIsa() {
+  pinned_tiles.store(static_cast<const TileSet*>(previous_),
+                     std::memory_order_release);
+}
 
 }  // namespace delrec::nn

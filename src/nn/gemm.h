@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace delrec::nn {
 
@@ -31,17 +32,19 @@ namespace delrec::nn {
 /// its tiles get the same lane-parallel shape while keeping the reference's
 /// dot-then-combine association.
 ///
-/// The full tiles are hand-written intrinsic kernels (AVX-512F, AVX2, plus
-/// a portable scalar fallback) selected once per GEMM call via
-/// __builtin_cpu_supports. Lane-parallel mul/add is IEEE-identical per lane
-/// to scalar, and the GEMM translation unit is built with -ffp-contract=off
-/// so no FMA contraction can split blocked and reference numerics — the ISA
-/// choice never changes results.
+/// The tiles are hand-written intrinsic kernels (AVX-512F, AVX2, plus a
+/// portable scalar fallback) selected once per GEMM call via
+/// __builtin_cpu_supports. Edge tiles (fewer than kGemmRowTile rows or
+/// kGemmColTile columns) run the same vector kernels with the missing lanes
+/// masked off every load and store. Lane-parallel mul/add is IEEE-identical
+/// per lane to scalar, and the GEMM translation unit is built with
+/// -ffp-contract=off so no FMA contraction can split blocked and reference
+/// numerics — the ISA choice never changes results.
 
 inline constexpr int kGemmRowTile = 4;   // MR: C rows per microkernel tile.
 inline constexpr int kGemmColTile = 16;  // NR: C columns per microkernel tile.
-/// Minimum M at which GemmNN/GemmTN pack B (below it the pack's extra pass
-/// over B costs more than it saves).
+/// Minimum M at which the kernels pack B (below it the pack's extra pass
+/// over B costs more than it saves; small-M GemmNT gathers B in place).
 inline constexpr int64_t kGemmPackMinRows = 8;
 
 /// C (M,N) = A (M,K) · B (K,N); accumulate adds into C instead of storing.
@@ -73,6 +76,26 @@ std::string GemmKernelConfig();
 /// "portable") — recorded as config.isa in BENCH_*.json so baselines gate
 /// only against like-for-like hardware runs.
 std::string GemmKernelIsa();
+
+/// The fp32 tiers this host can run, fastest first: "avx512" and "avx2"
+/// where supported, then the scalar tier ("sse2", or "portable" off x86-64).
+std::vector<std::string> GemmSupportedIsas();
+
+/// Test seam, not a configuration knob: pins every fp32 GEMM in the process
+/// to one tier of GemmSupportedIsas() for the scope's lifetime, so the
+/// bit-identity tests cover tiers the host would not pick on its own.
+/// CHECK-fails on an unsupported tier. Create and destroy it with no GEMM
+/// in flight; scopes nest.
+class ScopedGemmIsa {
+ public:
+  explicit ScopedGemmIsa(const std::string& isa);
+  ScopedGemmIsa(const ScopedGemmIsa&) = delete;
+  ScopedGemmIsa& operator=(const ScopedGemmIsa&) = delete;
+  ~ScopedGemmIsa();
+
+ private:
+  const void* previous_;  // The tier pinned before this scope, or nullptr.
+};
 
 }  // namespace delrec::nn
 

@@ -149,6 +149,128 @@ TEST(GemmKernelTest, KernelConfigMentionsTileGeometry) {
   const std::string config = GemmKernelConfig();
   EXPECT_NE(config.find("4x16"), std::string::npos) << config;
   EXPECT_NE(config.find("isa="), std::string::npos) << config;
+  EXPECT_NE(config.find("masked edges"), std::string::npos) << config;
+}
+
+// ---- Every ISA tier ---------------------------------------------------------
+// ScopedGemmIsa pins the fp32 tier, so tiers the host would not pick (AVX2
+// and the scalar tier on an AVX-512 host) are held to the same oracle.
+
+TEST(GemmKernelTest, EveryTierMatchesReferenceBitwiseOverShapeGrid) {
+  const std::string fastest = GemmKernelIsa();
+  for (const std::string& isa : GemmSupportedIsas()) {
+    ScopedGemmIsa pin(isa);
+    ASSERT_EQ(GemmKernelIsa(), isa);
+    util::Rng rng(456);
+    for (const int64_t m : kGrid) {
+      for (const int64_t n : kGrid) {
+        for (const int64_t k : {int64_t{1}, int64_t{9}, int64_t{33}}) {
+          const std::vector<float> a = RandomMatrix(m * k, rng, 0.1f);
+          const std::vector<float> b = RandomMatrix(k * n, rng, 0.0f);
+          const std::vector<float> c_init = RandomMatrix(m * n, rng, 0.0f);
+          for (const Variant& variant : kVariants) {
+            ExpectBitIdentical(variant, a, b, m, n, k, c_init);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(GemmKernelIsa(), fastest) << "ScopedGemmIsa did not restore";
+}
+
+// The shapes the serve path runs, where most tiles are edge tiles:
+// attention probs·V and Q·Kᵀ at head_dim 8, the rank-8 LoRA x·A, a
+// single-panel 10×16×10, GRU4Rec at d = 24 (16 + 8) and the 1×1682
+// SR-hint head.
+struct ServeShape {
+  const char* variant;
+  int64_t m, n, k;
+};
+
+const ServeShape kServeShapes[] = {
+    {"NN", 73, 8, 102},   {"TN", 73, 8, 102},  {"NN", 1168, 8, 32},
+    {"NT", 73, 102, 8},   {"NT", 1, 1682, 32}, {"NN", 10, 16, 10},
+    {"NT", 10, 16, 10},   {"TN", 10, 16, 10},  {"NN", 64, 24, 24},
+    {"NT", 64, 24, 24},   {"TN", 64, 24, 24},
+};
+
+constexpr int kGuardFloats = 32;
+constexpr float kGuard = -12345.5f;
+
+// Cycles exact zeros, −0.0 and ±inf.
+float Special(int64_t i) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float values[] = {0.0f, -0.0f, kInf, -kInf};
+  return values[i % 4];
+}
+
+TEST(GemmKernelTest, ServeShapesMatchReferenceOnEveryTier) {
+  util::Rng rng(789);
+  for (const ServeShape& shape : kServeShapes) {
+    const Variant* variant = nullptr;
+    for (const Variant& v : kVariants) {
+      if (std::string(v.name) == shape.variant) variant = &v;
+    }
+    ASSERT_NE(variant, nullptr);
+    const int64_t m = shape.m, n = shape.n, k = shape.k;
+    const bool nt = std::string(shape.variant) == "NT";
+    const bool tn = std::string(shape.variant) == "TN";
+    // Remainder rows (past the last full 4-row tile) and edge lanes (past
+    // the last full 16-column panel; all of them when n < 16).
+    const int64_t full_m = m / kGemmRowTile * kGemmRowTile;
+    const int64_t full_n = n / kGemmColTile * kGemmColTile;
+    std::vector<float> a = RandomMatrix(m * k, rng, 0.05f);
+    std::vector<float> b = RandomMatrix(k * n, rng, 0.0f);
+    std::vector<float> c_init = RandomMatrix(m * n, rng, 0.0f);
+    int64_t next = 0;
+    for (int64_t i = full_m; i < m; ++i) {
+      for (int64_t p = 0; p < k; p += 5) {
+        a[tn ? p * m + i : i * k + p] = Special(next++);
+      }
+    }
+    for (int64_t j = full_n; j < n; ++j) {
+      for (int64_t p = j % 3; p < k; p += 7) {
+        b[nt ? j * k + p : p * n + j] = Special(next++);
+      }
+    }
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        if ((i >= full_m || j >= full_n) && (i + j) % 6 == 0) {
+          c_init[i * n + j] = Special(next++);
+        }
+      }
+    }
+    for (const bool accumulate : {false, true}) {
+      std::vector<float> expected = c_init;
+      variant->reference(a.data(), b.data(), expected.data(), m, n, k,
+                         accumulate);
+      for (const std::string& isa : GemmSupportedIsas()) {
+        ScopedGemmIsa pin(isa);
+        for (const int threads : {1, 4}) {
+          util::ScopedParallelism parallel(threads,
+                                           /*min_work_per_dispatch=*/1);
+          std::vector<float> actual = c_init;
+          actual.resize(c_init.size() + kGuardFloats, kGuard);
+          variant->blocked(a.data(), b.data(), actual.data(), m, n, k,
+                           accumulate);
+          const std::string where =
+              std::string(shape.variant) + " " + std::to_string(m) + "x" +
+              std::to_string(n) + "x" + std::to_string(k) +
+              " accumulate=" + std::to_string(accumulate) + " isa=" + isa +
+              " threads=" + std::to_string(threads);
+          ASSERT_EQ(std::memcmp(expected.data(), actual.data(),
+                                expected.size() * sizeof(float)),
+                    0)
+              << where;
+          for (int g = 0; g < kGuardFloats; ++g) {
+            ASSERT_EQ(actual[expected.size() + g], kGuard)
+                << "store past C at guard " << g << ": " << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- int8 kernels (nn/gemm_int8.h, nn/quant.h) ------------------------------
