@@ -101,6 +101,13 @@ double Percentile(std::vector<double> sorted_ascending, double fraction) {
   return sorted_ascending[index];
 }
 
+/// True on the scalar fp32 tier ("sse2", or "portable" off x86-64), which
+/// the speedup floors exempt.
+bool ScalarIsa() {
+  const std::string isa = nn::GemmKernelIsa();
+  return isa != "avx512" && isa != "avx2";
+}
+
 /// Section 1: the same request set scored one-at-a-time through the live
 /// model (the pre-PR serving path) and via snapshot ScoreBatch chunks.
 /// Results are bit-identical (serve_test proves it); here we time the two
@@ -156,9 +163,7 @@ void BenchBatchedVsSingle(bench::BenchRecorder& recorder,
   // one-at-a-time path on these shapes. The scalar GEMM fallback
   // reorganizes the same arithmetic without wider registers, so it only has
   // to not regress.
-  const bool scalar_isa =
-      nn::GemmKernelConfig().find("isa=scalar") != std::string::npos;
-  const double floor = scalar_isa ? 1.0 : 1.5;
+  const double floor = ScalarIsa() ? 1.0 : 1.5;
   DELREC_CHECK_GE(speedup, floor)
       << "batched serve speedup below floor (" << speedup << " < " << floor
       << ") with kernel " << nn::GemmKernelConfig();
@@ -470,9 +475,7 @@ void BenchPrefixCache(bench::BenchRecorder& recorder,
     // run per request, the cached side only each request's short tail). The
     // scalar GEMM fallback reorganizes the same arithmetic without wider
     // registers, so there it only has to not regress.
-    const bool scalar_isa =
-        nn::GemmKernelConfig().find("isa=scalar") != std::string::npos;
-    const double floor = scalar_isa ? 1.0 : 1.5;
+    const double floor = ScalarIsa() ? 1.0 : 1.5;
     DELREC_CHECK_GE(speedup, floor)
         << "cached-vs-uncached serve speedup below floor (" << speedup
         << " < " << floor << ") with kernel " << nn::GemmKernelConfig();

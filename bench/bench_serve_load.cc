@@ -9,11 +9,14 @@
 //  2. Open loop below capacity — a generator thread submits on a Poisson
 //     schedule with periodic bursts at ~40% of measured capacity. Gate:
 //     the admission layer must be invisible (shed rate exactly 0).
-//  3. Open loop overload — the same schedule at ~4× capacity. Gate: the
-//     tier degrades instead of collapsing — requests shed with typed
-//     statuses (shed rate > 0) and the p99 of *successful* requests stays
-//     bounded (queue cap + deadline bound the wait, so p99 cannot grow
-//     with run length the way an unbounded queue's would).
+//  3. Open loop overload — the same schedule at 4× the tier's saturated
+//     full-batch rate (timed on the snapshot, not the closed-loop probe,
+//     whose few clients never fill a batch), over enough arrivals to fill
+//     every shard's queue many times. Gate: the tier degrades instead of
+//     collapsing — requests shed with typed statuses (shed rate > 0) and
+//     the p99 of *successful* requests stays bounded (queue cap + deadline
+//     bound the wait, so p99 cannot grow with run length the way an
+//     unbounded queue's would).
 //
 // Latency/throughput numbers are wall-clock and unstable (no baseline
 // gating); the shed-rate gates and the p99 bound are the hard asserts.
@@ -46,10 +49,13 @@ namespace {
 
 constexpr int kShards = 2;
 constexpr int64_t kBatchSize = 16;
-// Per shard: two full batches of backlog. Tight on purpose — the overload
-// phase must hit the cap even though a saturated dispatcher serves ~2x the
-// closed-loop probe's rate (full 16-batches vs the probe's 4 clients).
+// Per shard: two full batches of backlog.
 constexpr int64_t kQueueCap = 2 * kBatchSize;
+// Overload arrives at this multiple of the saturated full-batch rate, and
+// runs for this many arrivals: 8x what the tier's queues hold, so most of
+// the phase runs against full queues.
+constexpr double kOverloadFactor = 4.0;
+constexpr size_t kOverloadArrivals = 8 * kShards * kQueueCap;
 constexpr int kClosedClients = 4;
 // Every kBurstEvery-th arrival is a burst of kBurstSize simultaneous
 // requests (a hot homepage module, a push-notification fan-in).
@@ -149,6 +155,26 @@ PhaseResult RunClosedLoop(serve::ShardedServer& server,
   result.p50_ms = Percentile(all, 0.50) * 1e3;
   result.p99_ms = Percentile(all, 0.99) * 1e3;
   return result;
+}
+
+/// The tier's saturated service rate: kShards dispatchers each running full
+/// kBatchSize batches back to back. One batch is timed on the snapshot
+/// directly (median of 9 after a warm-up), so the rate does not depend on
+/// how well any client pattern fills batches.
+double FullBatchCapacityRps(const serve::EngineSnapshot& snapshot,
+                            const std::vector<LoadRequest>& load) {
+  std::vector<serve::ScoreRequest> batch;
+  for (size_t i = 0; i < static_cast<size_t>(kBatchSize); ++i) {
+    batch.push_back(load[i % load.size()].request);
+  }
+  snapshot.ScoreBatch(batch);
+  std::vector<double> seconds;
+  for (int round = 0; round < 9; ++round) {
+    util::WallTimer timer;
+    snapshot.ScoreBatch(batch);
+    seconds.push_back(timer.ElapsedSeconds());
+  }
+  return static_cast<double>(kShards * kBatchSize) / Percentile(seconds, 0.5);
 }
 
 /// Phases 2/3: one generator thread submits on a precomputed bursty Poisson
@@ -353,20 +379,34 @@ int main() {
       << "admission control shed below the cap (rate "
       << below.shed_rate << ")";
 
-  // Phase 3: open loop at ~8x the probed rate (comfortably past even the
-  // saturated full-batch service rate) — graceful degradation, not
-  // collapse: typed sheds, and successful-request p99 bounded by the
-  // queue-cap/deadline budget instead of growing with the backlog.
+  // Phase 3: open loop at kOverloadFactor × the saturated full-batch rate
+  // — graceful degradation, not collapse: typed sheds, and
+  // successful-request p99 bounded by the queue-cap/deadline budget
+  // instead of growing with the backlog.
+  const std::vector<LoadRequest> overload_requests =
+      MakeLoadRequests(harness, kOverloadArrivals, 47);
+  const double full_batch_rps =
+      FullBatchCapacityRps(*snapshot, overload_requests);
+  recorder.Record("serve_load_full_batch_rps", full_batch_rps, "requests/s",
+                  bench::MetricKind::kThroughput);
+  recorder.Record("serve_load_requests_overload",
+                  static_cast<double>(kOverloadArrivals), "requests",
+                  bench::MetricKind::kCount, /*stable=*/true);
+  std::printf("[serve_load] full-batch capacity %.1f req/s (%d shards)\n",
+              full_batch_rps, kShards);
   PhaseResult over;
   {
     serve::ShardedServer server(snapshot, serve_options);
-    over = RunOpenLoop(server, MakeLoadRequests(harness, open_requests, 47),
-                       /*target_rps=*/8.0 * closed.rps, /*seed=*/53);
+    over = RunOpenLoop(server, overload_requests,
+                       /*target_rps=*/kOverloadFactor * full_batch_rps,
+                       /*seed=*/53);
     server.Shutdown();
   }
   RecordPhase(recorder, "overload", over);
   DELREC_CHECK_GT(over.shed, 0u)
-      << "8x overload shed nothing — admission control is not engaging";
+      << "overload at " << kOverloadFactor
+      << "x full-batch capacity shed nothing — admission control is not "
+         "engaging";
   const double p99_bound_ms =
       deadline_ms +
       2.0 * static_cast<double>(kBatchSize) * service_per_request_ms + 100.0;

@@ -7,6 +7,7 @@
 #include "nn/gemm.h"
 #include "nn/gemm_int8.h"
 #include "nn/ops.h"
+#include "nn/vmath.h"
 #include "util/check.h"
 #include "util/threadpool.h"
 
@@ -145,24 +146,6 @@ nn::Tensor TinyLmBlock::Forward(const nn::Tensor& x, util::Rng& rng,
 }
 
 namespace {
-
-// In-place row-wise softmax mirroring ops.cc's SoftmaxRows arithmetic
-// exactly (row max, exp, denom accumulated in column order, multiply by the
-// rounded reciprocal) so batched attention matches nn::Softmax bit-for-bit.
-void SoftmaxRowsInPlace(float* x, int64_t n, int64_t c) {
-  for (int64_t i = 0; i < n; ++i) {
-    float* row = x + i * c;
-    float mx = row[0];
-    for (int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
-    float denom = 0.0f;
-    for (int64_t j = 0; j < c; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      denom += row[j];
-    }
-    const float inv = 1.0f / denom;
-    for (int64_t j = 0; j < c; ++j) row[j] *= inv;
-  }
-}
 
 // In-place tanh-approximation GELU, the same expression as nn::Gelu.
 void GeluInPlace(float* x, int64_t n) {
@@ -327,7 +310,7 @@ void TinyLmBlock::AttendSpans(const float* q, const float* k,
               nn::GemmNT(qh, kh, logits, p, p, head_dim_,
                          /*accumulate=*/false);
               for (int64_t i = 0; i < p * p; ++i) logits[i] *= scale;
-              SoftmaxRowsInPlace(logits, p, p);
+              nn::SoftmaxRows(logits, logits, p, p);
               nn::GemmNN(logits, vh, head_out, p, head_dim_, p,
                          /*accumulate=*/false);
             }
@@ -338,7 +321,7 @@ void TinyLmBlock::AttendSpans(const float* q, const float* k,
               nn::GemmNT(qh + p * head_dim_, kh, slogits, suffix, ctx,
                          head_dim_, /*accumulate=*/false);
               for (int64_t i = 0; i < suffix * ctx; ++i) slogits[i] *= scale;
-              SoftmaxRowsInPlace(slogits, suffix, ctx);
+              nn::SoftmaxRows(slogits, slogits, suffix, ctx);
               nn::GemmNN(slogits, vh, head_out + p * head_dim_, suffix,
                          head_dim_, ctx, /*accumulate=*/false);
             }

@@ -416,15 +416,19 @@ struct TileSet {
   KernelTable kernels;
   ZeroScanFn has_zero;
   const char* isa;
+  KernelTier tier;
 };
 
 #if DELREC_GEMM_X86
-constexpr TileSet kAvx512Tiles{Kernels<Avx512>(), TileHasZeroAvx512, "avx512"};
-constexpr TileSet kAvx2Tiles{Kernels<Avx2>(), TileHasZeroAvx2, "avx2"};
-constexpr TileSet kScalarTiles{Kernels<Scalar>(), TileHasZeroScalar, "sse2"};
+constexpr TileSet kAvx512Tiles{Kernels<Avx512>(), TileHasZeroAvx512, "avx512",
+                               KernelTier::kAvx512};
+constexpr TileSet kAvx2Tiles{Kernels<Avx2>(), TileHasZeroAvx2, "avx2",
+                             KernelTier::kAvx2};
+constexpr TileSet kScalarTiles{Kernels<Scalar>(), TileHasZeroScalar, "sse2",
+                               KernelTier::kScalar};
 #else
 constexpr TileSet kScalarTiles{Kernels<Scalar>(), TileHasZeroScalar,
-                               "portable"};
+                               "portable", KernelTier::kScalar};
 #endif
 
 // The tiers this host can run, fastest first.
@@ -663,6 +667,8 @@ std::string GemmKernelConfig() {
 }
 
 std::string GemmKernelIsa() { return PickTiles().isa; }
+
+KernelTier ActiveKernelTier() { return PickTiles().tier; }
 
 std::vector<std::string> GemmSupportedIsas() {
   std::vector<std::string> isas;

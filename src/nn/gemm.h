@@ -81,9 +81,16 @@ std::string GemmKernelIsa();
 /// where supported, then the scalar tier ("sse2", or "portable" off x86-64).
 std::vector<std::string> GemmSupportedIsas();
 
-/// Test seam, not a configuration knob: pins every fp32 GEMM in the process
-/// to one tier of GemmSupportedIsas() for the scope's lifetime, so the
-/// bit-identity tests cover tiers the host would not pick on its own.
+/// The fp32 tier the kernels dispatch to right now: the one pinned by a live
+/// ScopedGemmIsa, else the fastest this host supports. The vmath kernels
+/// (softmax, exp) follow it too, so one pin covers GEMM and softmax alike.
+enum class KernelTier { kScalar, kAvx2, kAvx512 };
+KernelTier ActiveKernelTier();
+
+/// Test seam, not a configuration knob: pins every fp32 GEMM and vmath
+/// kernel in the process to one tier of GemmSupportedIsas() for the scope's
+/// lifetime, so the bit-identity tests cover tiers the host would not pick
+/// on its own.
 /// CHECK-fails on an unsupported tier. Create and destroy it with no GEMM
 /// in flight; scopes nest.
 class ScopedGemmIsa {

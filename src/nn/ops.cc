@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "nn/gemm.h"
+#include "nn/vmath.h"
 #include "util/buffer_pool.h"
 #include "util/check.h"
 
@@ -673,34 +674,12 @@ Tensor MaxPoolRows(const Tensor& x) {
                   });
 }
 
-namespace {
-
-// Row-wise softmax into `out`; returns nothing. Stable via row max.
-void SoftmaxRows(const std::vector<float>& in, std::vector<float>& out,
-                 int64_t n, int64_t c) {
-  for (int64_t i = 0; i < n; ++i) {
-    const float* row = in.data() + i * c;
-    float* orow = out.data() + i * c;
-    float mx = row[0];
-    for (int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
-    float denom = 0.0f;
-    for (int64_t j = 0; j < c; ++j) {
-      orow[j] = std::exp(row[j] - mx);
-      denom += orow[j];
-    }
-    const float inv = 1.0f / denom;
-    for (int64_t j = 0; j < c; ++j) orow[j] *= inv;
-  }
-}
-
-}  // namespace
-
 Tensor Softmax(const Tensor& x) {
   DELREC_CHECK_EQ(x.ndim(), 2);
   const int64_t n = x.dim(0);
   const int64_t c = x.dim(1);
   std::vector<float> out = Pool().Acquire(n * c);
-  SoftmaxRows(x.data(), out, n, c);
+  SoftmaxRows(x.data().data(), out.data(), n, c);
   Tensor x_copy = x;
   SharedBuffer saved = Pool().AcquireSharedCopy(out);
   return MakeNode(
@@ -725,7 +704,7 @@ Tensor LogSoftmax(const Tensor& x) {
   const int64_t n = x.dim(0);
   const int64_t c = x.dim(1);
   SharedBuffer softmax = Pool().AcquireShared(n * c);
-  SoftmaxRows(x.data(), *softmax, n, c);
+  SoftmaxRows(x.data().data(), softmax->data(), n, c);
   std::vector<float> out = Pool().Acquire(n * c);
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = std::log(std::max((*softmax)[i], 1e-30f));
@@ -755,7 +734,7 @@ Tensor CrossEntropyWithLogits(const Tensor& logits,
   const int64_t c = logits.dim(1);
   DELREC_CHECK_EQ(static_cast<int64_t>(targets.size()), n);
   SharedBuffer softmax = Pool().AcquireShared(n * c);
-  SoftmaxRows(logits.data(), *softmax, n, c);
+  SoftmaxRows(logits.data().data(), softmax->data(), n, c);
   float loss = 0.0f;
   int64_t active = 0;
   for (int64_t i = 0; i < n; ++i) {
