@@ -1,14 +1,16 @@
 // Perf smoke bench (ctest -L perf_smoke): emits the machine-readable RQ5
 // record BENCH_rq5.json and gates it against the committed baseline.
 //
-// Three sections, all sized to finish in seconds:
+// Four sections, all sized to finish in seconds:
 //  1. Op-level GEMM GFLOP/s for the blocked kernels on repo-model shapes,
 //     plus blocked-vs-reference speedups timed in the same run (so a slower
 //     host does not read as a regression) on the canonical 256³ shape and
 //     the serve shapes, with hard floor asserts on AVX2+ hosts: ≥2× on 256³
 //     GemmNN and on the attention probs·V GemmNN, an edge-tile shape. The
 //     attention softmax (nn::SoftmaxRows at one head's 73×102 logits) gets
-//     the same treatment against a scalar libm-expf reference: ≥2×.
+//     the same treatment against a scalar libm-expf reference: ≥2×, and
+//     the batched SR-hint top-k (SasRec TopKBatch) against the per-request
+//     autograd forward it replaced: ≥1.5×.
 //  2. A tiny end-to-end train/eval through DatasetHarness, which records
 //     stage1_distill_s / stage2_finetune_s / eval_s via the harness hooks.
 //  3. Warm-pool allocation counts for a repeated fixed eval workload —
@@ -23,9 +25,12 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "eval/topk.h"
 #include "nn/gemm.h"
+#include "nn/tensor.h"
 #include "nn/vmath.h"
 #include "util/buffer_pool.h"
+#include "srmodels/factory.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -226,6 +231,71 @@ void BenchSoftmax(bench::BenchRecorder& recorder) {
   }
 }
 
+/// The SR-hint layer of every DELRec scoring prompt: top-h items of a
+/// 1682-item (ML-100K), d = 32 SASRec for a 16-request serve batch. The
+/// batched graph-free forward (TopKBatch) against the per-request autograd
+/// TrainingLogits + eval::TopK it replaced, on ragged histories (lengths
+/// 1..13, truncated at the model's 10), interleaved round by round;
+/// speedup = median of the per-round ratios.
+void BenchSrHint(bench::BenchRecorder& recorder) {
+  constexpr int64_t kItems = 1682, kBatch = 16, kTopH = 5;
+  constexpr int kReps = 20;
+  const auto model = srmodels::MakeBackbone(srmodels::Backbone::kSasRec,
+                                            kItems, /*history_length=*/10,
+                                            /*seed=*/17);
+  util::Rng rng(47);
+  std::vector<std::vector<int64_t>> histories(kBatch);
+  for (int64_t i = 0; i < kBatch; ++i) {
+    histories[i].resize(1 + i % 13);
+    for (int64_t& item : histories[i]) item = rng.UniformInt(0, kItems - 1);
+  }
+  const auto per_request = [&] {
+    nn::NoGradGuard no_grad;
+    util::Rng dropout_rng(0);
+    std::vector<std::vector<int64_t>> top(kBatch);
+    for (int64_t i = 0; i < kBatch; ++i) {
+      top[i] = eval::TopK(
+          model->TrainingLogits(histories[i], 0.0f, dropout_rng).data(),
+          kTopH);
+    }
+    return top;
+  };
+  DELREC_CHECK(model->TopKBatch(histories, kTopH) == per_request())
+      << "batched SR hints differ from the per-request path";
+  const auto time = [&](auto fn) {
+    util::WallTimer timer;
+    for (int rep = 0; rep < kReps; ++rep) fn();
+    return timer.ElapsedSeconds() / (kReps * kBatch);
+  };
+  const auto batched = [&] { return model->TopKBatch(histories, kTopH); };
+  double batched_s = 1e300, ref_s = 1e300;
+  std::vector<double> ratios;
+  for (int round = 0; round < 5; ++round) {
+    const double kernel = time(batched);
+    const double ref = time(per_request);
+    batched_s = std::min(batched_s, kernel);
+    ref_s = std::min(ref_s, ref);
+    ratios.push_back(ref / kernel);
+  }
+  const double speedup = Median(ratios);
+  recorder.Record("sr_hint_topk_16_us_per_req", batched_s * 1e6, "us",
+                  bench::MetricKind::kTime);
+  recorder.Record("sr_hint_topk_16_ref_us_per_req", ref_s * 1e6, "us",
+                  bench::MetricKind::kTime);
+  recorder.Record("sr_hint_topk_16_speedup_vs_ref", speedup, "x",
+                  bench::MetricKind::kRatio);
+  std::printf("[perf_smoke] sr_hint_topk_16: batched %.2f us/req, ref %.2f "
+              "us/req, speedup %.2fx\n",
+              batched_s * 1e6, ref_s * 1e6, speedup);
+  const std::string isa = nn::GemmKernelIsa();
+  if (isa == "avx512" || isa == "avx2") {
+    // The batched side wins through stacked GEMMs and no graph building;
+    // the scalar tier's GEMMs leave little of the first and are exempt.
+    DELREC_CHECK_GE(speedup, 1.5)
+        << "batched SR-hint speedup below the 1.5x floor on isa=" << isa;
+  }
+}
+
 /// Tiny end-to-end train + eval. The harness hooks populate the stage and
 /// eval timing metrics; this adds eval throughput and the deterministic
 /// warm-pool allocation counts.
@@ -310,6 +380,7 @@ int main() {
   bench::BenchRecorder& recorder = bench::BenchRecorder::Global();
   BenchGemmShapes(recorder);
   BenchSoftmax(recorder);
+  BenchSrHint(recorder);
   BenchTrainEval(recorder);
   const int rc = bench::FinishBench();
   const std::string path = bench::BenchRecorder::OutputPath("rq5");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/checkpoint.h"
 #include "nn/anomaly.h"
@@ -87,22 +88,34 @@ std::vector<int64_t> ActiveHintTokens(
     const DelRecConfig& config, const llm::PromptBuilder& builder,
     const srmodels::SequentialRecommender& sr_model,
     const std::vector<int64_t>& history) {
-  std::vector<int64_t> tokens;
+  return ActiveHintTokensBatch(config, builder, sr_model, {history}).front();
+}
+
+std::vector<std::vector<int64_t>> ActiveHintTokensBatch(
+    const DelRecConfig& config, const llm::PromptBuilder& builder,
+    const srmodels::SequentialRecommender& sr_model,
+    const std::vector<std::vector<int64_t>>& histories) {
+  std::vector<int64_t> head;
   if (config.manual_prompts) {
-    tokens = builder.ManualConstructionTokens(util::ToLower(sr_model.name()));
+    head = builder.ManualConstructionTokens(util::ToLower(sr_model.name()));
   }
-  if (config.sr_hints_in_stage2) {
-    const std::vector<int64_t> top_h = sr_model.TopK(history, config.top_h);
-    for (int64_t id : builder.vocab().Encode(
-             "the " + util::ToLower(sr_model.name()) +
-             " model recommends top items")) {
-      tokens.push_back(id);
-    }
-    for (int64_t item : top_h) {
+  if (!config.sr_hints_in_stage2 || histories.empty()) {
+    return std::vector<std::vector<int64_t>>(histories.size(), head);
+  }
+  const std::vector<std::vector<int64_t>> top_h =
+      sr_model.TopKBatch(histories, config.top_h);
+  for (int64_t id : builder.vocab().Encode(
+           "the " + util::ToLower(sr_model.name()) +
+           " model recommends top items")) {
+    head.push_back(id);
+  }
+  std::vector<std::vector<int64_t>> tokens(histories.size(), head);
+  for (size_t i = 0; i < histories.size(); ++i) {
+    for (int64_t item : top_h[i]) {
       for (int64_t id : builder.TitleTokens(item)) {
-        tokens.push_back(id);
+        tokens[i].push_back(id);
       }
-      tokens.push_back(llm::Vocab::kSep);
+      tokens[i].push_back(llm::Vocab::kSep);
     }
   }
   return tokens;
@@ -120,11 +133,34 @@ llm::Prompt BuildScoringPrompt(const DelRecConfig& config,
                                const nn::Tensor& soft_prompts,
                                const std::vector<int64_t>& history,
                                const std::vector<int64_t>& candidates) {
-  const std::vector<int64_t> window = WindowHistory(config, history);
-  return builder.BuildRecommendation(
-      window, PromptCandidates(config, candidates),
-      ActiveSoftPrompts(config, soft_prompts),
-      ActiveHintTokens(config, builder, sr_model, window), nn::Tensor());
+  return std::move(BuildScoringPrompts(config, builder, sr_model,
+                                       soft_prompts, {history}, {candidates})
+                       .front());
+}
+
+std::vector<llm::Prompt> BuildScoringPrompts(
+    const DelRecConfig& config, const llm::PromptBuilder& builder,
+    const srmodels::SequentialRecommender& sr_model,
+    const nn::Tensor& soft_prompts,
+    const std::vector<std::vector<int64_t>>& histories,
+    const std::vector<std::vector<int64_t>>& candidates) {
+  DELREC_CHECK_EQ(histories.size(), candidates.size());
+  std::vector<std::vector<int64_t>> windows;
+  windows.reserve(histories.size());
+  for (const std::vector<int64_t>& history : histories) {
+    windows.push_back(WindowHistory(config, history));
+  }
+  const std::vector<std::vector<int64_t>> hints =
+      ActiveHintTokensBatch(config, builder, sr_model, windows);
+  const nn::Tensor soft = ActiveSoftPrompts(config, soft_prompts);
+  std::vector<llm::Prompt> prompts;
+  prompts.reserve(histories.size());
+  for (size_t i = 0; i < histories.size(); ++i) {
+    prompts.push_back(builder.BuildRecommendation(
+        windows[i], PromptCandidates(config, candidates[i]), soft, hints[i],
+        nn::Tensor()));
+  }
+  return prompts;
 }
 
 std::vector<llm::PromptPiece> BuildScoringPrefix(

@@ -30,10 +30,17 @@ std::vector<int64_t> OrderedPositions(size_t n, int64_t k, Better better) {
 }  // namespace
 
 std::vector<int64_t> TopK(const std::vector<float>& scores, int64_t k) {
-  return OrderedPositions(scores.size(), k, [&](int64_t a, int64_t b) {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    return a < b;
-  });
+  return TopK(scores.data(), static_cast<int64_t>(scores.size()), k);
+}
+
+std::vector<int64_t> TopK(const float* scores, int64_t count, int64_t k) {
+  return OrderedPositions(static_cast<size_t>(count), k,
+                          [&](int64_t a, int64_t b) {
+                            if (scores[a] != scores[b]) {
+                              return scores[a] > scores[b];
+                            }
+                            return a < b;
+                          });
 }
 
 std::vector<int64_t> TopKByIds(const std::vector<float>& scores,

@@ -13,6 +13,9 @@ namespace delrec::eval {
 /// partial-sort-with-tie-break logic that used to live in each caller.
 /// k >= scores.size() returns the full order (a std::sort, not a heap sort).
 std::vector<int64_t> TopK(const std::vector<float>& scores, int64_t k);
+/// The same order over a raw row of `count` scores, e.g. one row of a
+/// batched (B × catalog) score buffer.
+std::vector<int64_t> TopK(const float* scores, int64_t count, int64_t k);
 
 /// As above over a candidate pool with explicit item ids: returns positions
 /// into `scores`/`item_ids`, but ties break by the smaller *item id* rather

@@ -11,13 +11,6 @@
 #include "util/check.h"
 #include "util/threadpool.h"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define DELREC_TINY_LM_X86 1
-#include <immintrin.h>
-#else
-#define DELREC_TINY_LM_X86 0
-#endif
-
 namespace delrec::llm {
 
 TinyLmConfig TinyLmConfig::Base(int64_t vocab_size) {
@@ -147,85 +140,6 @@ nn::Tensor TinyLmBlock::Forward(const nn::Tensor& x, util::Rng& rng,
 
 namespace {
 
-// In-place tanh-approximation GELU, the same expression as nn::Gelu.
-void GeluInPlace(float* x, int64_t n) {
-  constexpr float kSqrt2OverPi = 0.7978845608f;
-  constexpr float kCoeff = 0.044715f;
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    const float inner = kSqrt2OverPi * (v + kCoeff * v * v * v);
-    x[i] = 0.5f * v * (1.0f + std::tanh(inner));
-  }
-}
-
-// GELU for the quantized inference path: same tanh-form expression, but the
-// tanh core is the Padé(7,6) rational approximant with the argument clamped
-// to ±4.97 (beyond which the approximant and tanh both read as ±1 at fp32).
-// Max |gelu error| is ~1.9e-4 over the full input range — two orders of
-// magnitude below the int8 activation quantization step — while replacing
-// the ~25ns/element libm tanh with vectorizable float arithmetic. The fp32
-// serve path keeps std::tanh (GeluInPlace) so its scores stay bit-identical
-// to training-time numerics; the int8 path is tolerance-gated
-// (tests/quant_parity_test.cc), which covers this approximation too.
-inline float GeluPadeScalar(float v) {
-  constexpr float kSqrt2OverPi = 0.7978845608f;
-  constexpr float kCoeff = 0.044715f;
-  float t = kSqrt2OverPi * (v + kCoeff * v * v * v);
-  t = std::min(4.97f, std::max(-4.97f, t));
-  const float t2 = t * t;
-  const float p = t * (135135.0f + t2 * (17325.0f + t2 * (378.0f + t2)));
-  const float q =
-      135135.0f + t2 * (62370.0f + t2 * (3150.0f + t2 * 28.0f));
-  return 0.5f * v * (1.0f + p / q);
-}
-
-#if DELREC_TINY_LM_X86
-__attribute__((target("avx2,fma"))) void GeluApproxRowsAvx2(float* x,
-                                                            int64_t n) {
-  const __m256 ks = _mm256_set1_ps(0.7978845608f);
-  const __m256 kc = _mm256_set1_ps(0.044715f);
-  const __m256 clamp = _mm256_set1_ps(4.97f);
-  const __m256 c0 = _mm256_set1_ps(135135.0f);
-  const __m256 c1 = _mm256_set1_ps(17325.0f);
-  const __m256 c2 = _mm256_set1_ps(378.0f);
-  const __m256 d1 = _mm256_set1_ps(62370.0f);
-  const __m256 d2 = _mm256_set1_ps(3150.0f);
-  const __m256 d3 = _mm256_set1_ps(28.0f);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    __m256 t = _mm256_mul_ps(
-        ks, _mm256_fmadd_ps(_mm256_mul_ps(_mm256_mul_ps(v, v), v), kc, v));
-    t = _mm256_max_ps(_mm256_sub_ps(_mm256_setzero_ps(), clamp),
-                      _mm256_min_ps(clamp, t));
-    const __m256 t2 = _mm256_mul_ps(t, t);
-    const __m256 p = _mm256_mul_ps(
-        t, _mm256_fmadd_ps(
-               t2, _mm256_fmadd_ps(t2, _mm256_add_ps(c2, t2), c1), c0));
-    const __m256 q = _mm256_fmadd_ps(
-        t2, _mm256_fmadd_ps(t2, _mm256_fmadd_ps(t2, d3, d2), d1), c0);
-    _mm256_storeu_ps(
-        x + i, _mm256_mul_ps(_mm256_mul_ps(half, v),
-                             _mm256_add_ps(one, _mm256_div_ps(p, q))));
-  }
-  for (; i < n; ++i) x[i] = GeluPadeScalar(x[i]);
-}
-#endif  // DELREC_TINY_LM_X86
-
-void GeluInPlaceApprox(float* x, int64_t n) {
-#if DELREC_TINY_LM_X86
-  static const bool avx2 =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  if (avx2) {
-    GeluApproxRowsAvx2(x, n);
-    return;
-  }
-#endif
-  for (int64_t i = 0; i < n; ++i) x[i] = GeluPadeScalar(x[i]);
-}
-
 // Carves an int8 activation buffer of `bytes` (rows × packed_depth) out of
 // the fp32 arena, rounded up to whole floats.
 int8_t* AllocInt8(util::ScopedArena& arena, int64_t bytes) {
@@ -343,10 +257,12 @@ void TinyLmBlock::ForwardBatchInference(const float* x, int64_t total,
                                         float* capture_v) const {
   // One stage order for both weight forms; only a dense projection and the
   // GELU core differ. fp32 runs Linear::ForwardInference plus the LoRA delta
-  // and the exact tanh GELU. Int8 runs nn::Int8Gemm against the merged
-  // weights, with each distinct input quantized per row once, and the
-  // vectorized Padé GELU (GeluInPlaceApprox above): at serve-scale widths
-  // libm tanh would otherwise rival the projections themselves. LayerNorm
+  // and the exact tanh GELU (nn::GeluRows, the training op's arithmetic).
+  // Int8 runs nn::Int8Gemm against the merged weights, with each distinct
+  // input quantized per row once, and the vectorized Padé GELU
+  // (nn::GeluPade, tier-exact): at serve-scale widths libm tanh would
+  // otherwise rival the projections themselves. The Padé error is covered
+  // by the int8 tolerance gates (tests/quant_parity_test.cc). LayerNorm
   // and attention (AttendSpans) stay fp32 on both — quantizing softmax
   // inputs would cost accuracy for no footprint win.
   const int64_t d = num_heads_ * head_dim_;
@@ -405,9 +321,9 @@ void TinyLmBlock::ForwardBatchInference(const float* x, int64_t total,
   float* hidden = arena.Alloc(total * f);
   project(ff_in, ffn_in_, lora_ffn_in_.get(), &QuantWeights::ffn_in, hidden);
   if (quant_) {
-    GeluInPlaceApprox(hidden, total * f);
+    nn::GeluPade(hidden, hidden, total * f);
   } else {
-    GeluInPlace(hidden, total * f);
+    nn::GeluRows(hidden, hidden, total * f);
   }
   project(hidden, ffn_out_, nullptr, &QuantWeights::ffn_out, out);
   for (int64_t i = 0; i < cells; ++i) out[i] = residual[i] + out[i];

@@ -51,24 +51,10 @@ struct PromptPiece {
   nn::Tensor embeddings;  // (n, model_dim) when kind == kEmbeddings.
 };
 
-/// Contiguous row range of one sequence inside a row-concatenated batch:
-/// rows [begin, begin + length) of the stacked (ΣT, D) activation matrix.
-/// Ragged concatenation (no padding) keeps every GEMM row a real row, which
-/// is what makes the batched path bit-identical to per-sequence forwards
-/// (each GEMM output row depends only on its own input row — nn/gemm.h).
-///
-/// `prefix` declares a frozen prompt head (PrefixLM-style boundary): rows
-/// [0, prefix) of the sequence attend only among themselves, while rows
-/// [prefix, length) attend over the whole sequence. prefix == 0 is full
-/// bidirectional attention (the historical behavior). The boundary is what
-/// makes the head's hidden states — and therefore its per-layer K/V rows —
-/// independent of the suffix, so a snapshot can precompute them once
-/// (TinyLm::PrefixState) and serve only the suffix, bit-identically.
-struct SequenceSpan {
-  int64_t begin = 0;
-  int64_t length = 0;
-  int64_t prefix = 0;
-};
+/// One prompt of a row-stacked batch: rows [begin, begin + length) of the
+/// stacked (ΣT, D) activation matrix, with an optional frozen head of
+/// `prefix` rows (nn::RowSpan).
+using SequenceSpan = nn::RowSpan;
 
 /// One layer's cached attention K/V rows for a shared frozen prefix: when
 /// passed to ForwardBatchInference, every span is treated as the suffix of

@@ -1,8 +1,10 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/gemm.h"
+#include "nn/vmath.h"
 #include "util/check.h"
 
 namespace delrec::nn {
@@ -164,6 +166,87 @@ Tensor MultiHeadAttention::Forward(const Tensor& query,
   return wo_.Forward(ConcatCols(head_outputs));
 }
 
+void MultiHeadAttention::ForwardCausalInference(
+    const float* x, const std::vector<RowSpan>& spans, bool last_row_only,
+    float* out, util::ScopedArena& arena) const {
+  DELREC_CHECK(!spans.empty());
+  const int64_t d = model_dim_;
+  const int64_t hd = head_dim_;
+  const int64_t total = spans.back().begin + spans.back().length;
+  const int64_t query_rows =
+      last_row_only ? static_cast<int64_t>(spans.size()) : total;
+  // Projections are row-local GEMMs (nn/gemm.h), so one stacked call per
+  // weight gives every row the bits of the per-sequence Forward().
+  float* k = arena.Alloc(total * d);
+  float* v = arena.Alloc(total * d);
+  wk_.ForwardInference(x, total, k);
+  wv_.ForwardInference(x, total, v);
+  float* q = arena.Alloc(query_rows * d);
+  if (last_row_only) {
+    float* last = arena.Alloc(query_rows * d);
+    for (size_t s = 0; s < spans.size(); ++s) {
+      const float* row = x + (spans[s].begin + spans[s].length - 1) * d;
+      std::copy(row, row + d, last + s * d);
+    }
+    wq_.ForwardInference(last, query_rows, q);
+  } else {
+    wq_.ForwardInference(x, total, q);
+  }
+
+  // Attention runs per span and per head with Forward()'s shapes and op
+  // order: logits = (q_h·k_hᵀ)·scale + mask over all L key columns, then
+  // SoftmaxRows and attention·v_h. A query row of a GEMM depends only on
+  // that row, so querying a span's last position alone reproduces the last
+  // row of the full L×L pass.
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  int64_t max_length = 0;
+  for (const RowSpan& span : spans) {
+    DELREC_CHECK_EQ(span.prefix, 0);  // Causal attention has no frozen head.
+    max_length = std::max(max_length, span.length);
+  }
+  float* qh = arena.Alloc(max_length * hd);
+  float* kh = arena.Alloc(max_length * hd);
+  float* vh = arena.Alloc(max_length * hd);
+  float* head_out = arena.Alloc(max_length * hd);
+  float* logits = arena.Alloc(max_length * max_length);
+  float* concat = arena.Alloc(query_rows * d);
+  int64_t query_begin = 0;  // First row of this span's queries in q/concat.
+  for (const RowSpan& span : spans) {
+    const int64_t length = span.length;
+    const int64_t first = last_row_only ? length - 1 : 0;  // Query position.
+    const int64_t queries = length - first;
+    for (int64_t h = 0; h < num_heads_; ++h) {
+      for (int64_t i = 0; i < length; ++i) {
+        const float* krow = k + (span.begin + i) * d + h * hd;
+        const float* vrow = v + (span.begin + i) * d + h * hd;
+        std::copy(krow, krow + hd, kh + i * hd);
+        std::copy(vrow, vrow + hd, vh + i * hd);
+      }
+      for (int64_t r = 0; r < queries; ++r) {
+        const float* qrow = q + (query_begin + r) * d + h * hd;
+        std::copy(qrow, qrow + hd, qh + r * hd);
+      }
+      GemmNT(qh, kh, logits, queries, length, hd, /*accumulate=*/false);
+      for (int64_t r = 0; r < queries; ++r) {
+        float* row = logits + r * length;
+        for (int64_t j = 0; j < length; ++j) row[j] = row[j] * scale;
+        // CausalMask's additive row: 0 up to the query position, -1e9 after.
+        for (int64_t j = 0; j < length; ++j) {
+          row[j] = row[j] + (j > first + r ? -1e9f : 0.0f);
+        }
+      }
+      SoftmaxRows(logits, logits, queries, length);
+      GemmNN(logits, vh, head_out, queries, hd, length, /*accumulate=*/false);
+      for (int64_t r = 0; r < queries; ++r) {
+        std::copy(head_out + r * hd, head_out + (r + 1) * hd,
+                  concat + (query_begin + r) * d + h * hd);
+      }
+    }
+    query_begin += queries;
+  }
+  wo_.ForwardInference(concat, query_rows, out);
+}
+
 FeedForward::FeedForward(int64_t model_dim, int64_t hidden_dim, util::Rng& rng)
     : in_(model_dim, hidden_dim, rng), out_(hidden_dim, model_dim, rng) {
   RegisterModule("in", &in_);
@@ -175,6 +258,14 @@ Tensor FeedForward::Forward(const Tensor& x, util::Rng& rng, float dropout_p,
   Tensor hidden = Gelu(in_.Forward(x));
   hidden = Dropout(hidden, dropout_p, rng, training);
   return out_.Forward(hidden);
+}
+
+void FeedForward::ForwardInference(const float* x, int64_t rows, float* out,
+                                   util::ScopedArena& arena) const {
+  float* hidden = arena.Alloc(rows * in_.out_features());
+  in_.ForwardInference(x, rows, hidden);
+  GeluRows(hidden, hidden, rows * in_.out_features());
+  out_.ForwardInference(hidden, rows, out);
 }
 
 TransformerEncoderLayer::TransformerEncoderLayer(int64_t model_dim,
@@ -202,6 +293,33 @@ Tensor TransformerEncoderLayer::Forward(const Tensor& x,
   Tensor ff = ffn_.Forward(ln_ffn_.Forward(residual), rng, dropout_p,
                            training());
   return Add(residual, ff);
+}
+
+void TransformerEncoderLayer::ForwardCausalInference(
+    const float* x, const std::vector<RowSpan>& spans, bool last_row_only,
+    float* out, util::ScopedArena& arena) const {
+  DELREC_CHECK(!spans.empty());
+  const int64_t total = spans.back().begin + spans.back().length;
+  const int64_t rows =
+      last_row_only ? static_cast<int64_t>(spans.size()) : total;
+  const int64_t d = attention_.model_dim();
+  float* normed = arena.Alloc(total * d);
+  ln_attention_.ForwardInference(x, total, normed);
+  float* residual = arena.Alloc(rows * d);
+  attention_.ForwardCausalInference(normed, spans, last_row_only, residual,
+                                    arena);
+  // residual = x + attended, over the rows the attention produced.
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t source =
+        last_row_only ? spans[r].begin + spans[r].length - 1 : r;
+    const float* xrow = x + source * d;
+    float* rrow = residual + r * d;
+    for (int64_t j = 0; j < d; ++j) rrow[j] = xrow[j] + rrow[j];
+  }
+  float* ff_in = arena.Alloc(rows * d);
+  ln_ffn_.ForwardInference(residual, rows, ff_in);
+  ffn_.ForwardInference(ff_in, rows, out, arena);
+  for (int64_t i = 0; i < rows * d; ++i) out[i] = residual[i] + out[i];
 }
 
 Tensor CausalMask(int64_t length) {

@@ -7,9 +7,30 @@
 #include "nn/module.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
+#include "util/buffer_pool.h"
 #include "util/rng.h"
 
 namespace delrec::nn {
+
+/// One sequence of a row-stacked inference batch: rows [begin, begin+length)
+/// of a (total, D) buffer holding several sequences back to back. Ragged
+/// concatenation (no padding) keeps every GEMM row a real row, which is what
+/// makes a batched forward bit-identical to per-sequence forwards (each GEMM
+/// output row depends only on its own input row — nn/gemm.h).
+///
+/// `prefix` declares a frozen prompt head (PrefixLM-style boundary) for
+/// TinyLm's bidirectional attention: rows [0, prefix) of the sequence attend
+/// only among themselves, while rows [prefix, length) attend over the whole
+/// sequence. prefix == 0 is full attention. The boundary is what makes the
+/// head's hidden states — and therefore its per-layer K/V rows — independent
+/// of the suffix, so a snapshot can precompute them once
+/// (TinyLm::PrefixState) and serve only the suffix, bit-identically. Causal
+/// attention (ForwardCausalInference) has no frozen head and requires 0.
+struct RowSpan {
+  int64_t begin = 0;
+  int64_t length = 0;
+  int64_t prefix = 0;
+};
 
 /// Affine layer y = x·W + b with W stored (in, out).
 class Linear : public Module {
@@ -103,7 +124,20 @@ class MultiHeadAttention : public Module {
                  const Tensor& additive_mask, util::Rng& rng,
                  float dropout_p) const;
 
+  /// Graph-free causal self-attention over a row-stacked batch `x`
+  /// (spans.back().begin + spans.back().length rows of D). Each span
+  /// attends only within itself, over the same L key columns and -1e9
+  /// causal mask as Forward(x, x, CausalMask(L)), so every output row is
+  /// bit-identical to the same row of that per-sequence call. With
+  /// `last_row_only`, only each span's last position is queried and `out`
+  /// holds one row per span; otherwise one row per input row.
+  void ForwardCausalInference(const float* x,
+                              const std::vector<RowSpan>& spans,
+                              bool last_row_only, float* out,
+                              util::ScopedArena& arena) const;
+
   int64_t num_heads() const { return num_heads_; }
+  int64_t model_dim() const { return model_dim_; }
 
  private:
   int64_t model_dim_;
@@ -123,6 +157,10 @@ class FeedForward : public Module {
   Tensor Forward(const Tensor& x, util::Rng& rng, float dropout_p,
                  bool training) const;
 
+  /// Graph-free Forward() without dropout, row by row: (rows, D) → `out`.
+  void ForwardInference(const float* x, int64_t rows, float* out,
+                        util::ScopedArena& arena) const;
+
  private:
   Linear in_;
   Linear out_;
@@ -137,6 +175,17 @@ class TransformerEncoderLayer : public Module {
   /// x: (T, D); additive_mask optional (T, T).
   Tensor Forward(const Tensor& x, const Tensor& additive_mask,
                  util::Rng& rng, float dropout_p) const;
+
+  /// Graph-free Forward(x, CausalMask(L), rng, 0) over a row-stacked batch
+  /// of sequences (see MultiHeadAttention::ForwardCausalInference), with
+  /// the same rows bit for bit. With `last_row_only`, `out` holds only each
+  /// span's last row: attention queries, the residual and the FFN run on
+  /// those rows alone, which is exact because every stage after the keys
+  /// and values is row-local.
+  void ForwardCausalInference(const float* x,
+                              const std::vector<RowSpan>& spans,
+                              bool last_row_only, float* out,
+                              util::ScopedArena& arena) const;
 
  private:
   LayerNorm ln_attention_;

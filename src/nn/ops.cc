@@ -203,16 +203,18 @@ Tensor Relu(const Tensor& x) {
                   });
 }
 
-Tensor Gelu(const Tensor& x) {
-  constexpr float kSqrt2OverPi = 0.7978845608f;
-  constexpr float kCoeff = 0.044715f;
-  const auto& xv = x.data();
-  std::vector<float> out = Pool().Acquire(xv.size());
-  for (size_t i = 0; i < xv.size(); ++i) {
-    const float v = xv[i];
-    const float inner = kSqrt2OverPi * (v + kCoeff * v * v * v);
+void GeluRows(const float* x, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float inner = kGeluSqrt2OverPi * (v + kGeluCoeff * v * v * v);
     out[i] = 0.5f * v * (1.0f + std::tanh(inner));
   }
+}
+
+Tensor Gelu(const Tensor& x) {
+  const auto& xv = x.data();
+  std::vector<float> out = Pool().Acquire(xv.size());
+  GeluRows(xv.data(), out.data(), x.size());
   Tensor x_copy = x;
   return MakeNode(
       x.shape(), std::move(out), {x}, [x_copy](TensorImpl& self) mutable {
@@ -221,10 +223,12 @@ Tensor Gelu(const Tensor& x) {
         const auto& xv = x_copy.data();
         for (size_t i = 0; i < self.grad.size(); ++i) {
           const float v = xv[i];
-          const float inner = kSqrt2OverPi * (v + kCoeff * v * v * v);
+          const float inner =
+              kGeluSqrt2OverPi * (v + kGeluCoeff * v * v * v);
           const float t = std::tanh(inner);
           const float sech2 = 1.0f - t * t;
-          const float d_inner = kSqrt2OverPi * (1.0f + 3.0f * kCoeff * v * v);
+          const float d_inner =
+              kGeluSqrt2OverPi * (1.0f + 3.0f * kGeluCoeff * v * v);
           const float d = 0.5f * (1.0f + t) + 0.5f * v * sech2 * d_inner;
           gx[i] += self.grad[i] * d;
         }

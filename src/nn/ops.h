@@ -42,6 +42,10 @@ Tensor MulScalarTensor(const Tensor& x, const Tensor& s);
 Tensor Relu(const Tensor& x);
 /// tanh-approximation GELU.
 Tensor Gelu(const Tensor& x);
+/// Gelu()'s forward arithmetic over a raw buffer: out[i] = GELU(x[i]) for
+/// i < n, `out` may alias `x`. The graph-free inference forwards call this
+/// so their bits are the training op's by construction.
+void GeluRows(const float* x, float* out, int64_t n);
 Tensor Sigmoid(const Tensor& x);
 Tensor Tanh(const Tensor& x);
 

@@ -95,6 +95,37 @@ void ExpScalarTier(const float* x, float* out, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = ExpScalar(x[i]);
 }
 
+// Padé(7,6) GELU constants: tanh(t) ≈ t·(C0 + t²(C1 + t²(C2 + t²))) /
+// (C0 + t²(D1 + t²(D2 + t²·D3))) on |t| ≤ kPadeClamp.
+constexpr float kPadeClamp = 4.97f;
+constexpr float kPadeC0 = 135135.0f;
+constexpr float kPadeC1 = 17325.0f;
+constexpr float kPadeC2 = 378.0f;
+constexpr float kPadeD1 = 62370.0f;
+constexpr float kPadeD2 = 3150.0f;
+constexpr float kPadeD3 = 28.0f;
+
+// GeluPadeAvx2Tier step for step: std::fma where that kernel fuses,
+// separately rounded mul/add elsewhere, and the clamps written as
+// minps/maxps evaluate (the first operand only when the compare holds), so
+// a NaN passes through both.
+inline float GeluPadeScalar(float v) {
+  const float cube = (v * v) * v;
+  float t = kGeluSqrt2OverPi * std::fma(cube, kGeluCoeff, v);
+  t = kPadeClamp < t ? kPadeClamp : t;
+  t = -kPadeClamp > t ? -kPadeClamp : t;
+  const float t2 = t * t;
+  const float p =
+      t * std::fma(t2, std::fma(t2, kPadeC2 + t2, kPadeC1), kPadeC0);
+  const float q = std::fma(
+      t2, std::fma(t2, std::fma(t2, kPadeD3, kPadeD2), kPadeD1), kPadeC0);
+  return (0.5f * v) * (1.0f + p / q);
+}
+
+void GeluPadeScalarTier(const float* x, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = GeluPadeScalar(x[i]);
+}
+
 void SoftmaxScalarTier(const float* in, float* out, int64_t rows,
                        int64_t cols) {
   for (int64_t i = 0; i < rows; ++i) {
@@ -170,6 +201,40 @@ __attribute__((target("avx2"))) inline __m256 ExpAvx2(__m256 x) {
   return _mm256_blendv_ps(e, _mm256_set1_ps(kInf),
                           _mm256_cmp_ps(x, _mm256_set1_ps(kExpHi),
                                         _CMP_GT_OQ));
+}
+
+__attribute__((target("avx2,fma"))) void GeluPadeAvx2Tier(const float* x,
+                                                          float* out,
+                                                          int64_t n) {
+  const __m256 ks = _mm256_set1_ps(kGeluSqrt2OverPi);
+  const __m256 kc = _mm256_set1_ps(kGeluCoeff);
+  const __m256 clamp = _mm256_set1_ps(kPadeClamp);
+  const __m256 neg_clamp = _mm256_set1_ps(-kPadeClamp);
+  const __m256 c0 = _mm256_set1_ps(kPadeC0);
+  const __m256 c1 = _mm256_set1_ps(kPadeC1);
+  const __m256 c2 = _mm256_set1_ps(kPadeC2);
+  const __m256 d1 = _mm256_set1_ps(kPadeD1);
+  const __m256 d2 = _mm256_set1_ps(kPadeD2);
+  const __m256 d3 = _mm256_set1_ps(kPadeD3);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    __m256 t = _mm256_mul_ps(
+        ks, _mm256_fmadd_ps(_mm256_mul_ps(_mm256_mul_ps(v, v), v), kc, v));
+    t = _mm256_max_ps(neg_clamp, _mm256_min_ps(clamp, t));
+    const __m256 t2 = _mm256_mul_ps(t, t);
+    const __m256 p = _mm256_mul_ps(
+        t, _mm256_fmadd_ps(
+               t2, _mm256_fmadd_ps(t2, _mm256_add_ps(c2, t2), c1), c0));
+    const __m256 q = _mm256_fmadd_ps(
+        t2, _mm256_fmadd_ps(t2, _mm256_fmadd_ps(t2, d3, d2), d1), c0);
+    _mm256_storeu_ps(
+        out + i, _mm256_mul_ps(_mm256_mul_ps(half, v),
+                               _mm256_add_ps(one, _mm256_div_ps(p, q))));
+  }
+  for (; i < n; ++i) out[i] = GeluPadeScalar(x[i]);
 }
 
 // Lanes < count set, for vmaskmovps.
@@ -362,6 +427,18 @@ void Exp(const float* x, float* out, int64_t n) {
     default:
       return ExpScalarTier(x, out, n);
   }
+}
+
+void GeluPade(const float* x, float* out, int64_t n) {
+#if DELREC_VMATH_X86
+  // Both vector tiers run the 8-lane FMA kernel; a host without FMA runs
+  // the scalar tier, whose bits are the same.
+  static const bool fma = __builtin_cpu_supports("fma");
+  if (fma && ActiveKernelTier() != KernelTier::kScalar) {
+    return GeluPadeAvx2Tier(x, out, n);
+  }
+#endif
+  GeluPadeScalarTier(x, out, n);
 }
 
 void SoftmaxRows(const float* in, float* out, int64_t rows, int64_t cols) {

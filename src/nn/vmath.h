@@ -29,6 +29,22 @@ void Exp(const float* x, float* out, int64_t n);
 /// all NaN. `out` may alias `in`; the kernel allocates nothing.
 void SoftmaxRows(const float* in, float* out, int64_t rows, int64_t cols);
 
+/// The tanh-form GELU's argument, shared by the exact GELU (nn::GeluRows,
+/// nn::Gelu's backward) and GeluPade: GELU(v) = 0.5·v·(1 + tanh(t)) with
+/// t = kGeluSqrt2OverPi·(v + kGeluCoeff·v³).
+inline constexpr float kGeluSqrt2OverPi = 0.7978845608f;
+inline constexpr float kGeluCoeff = 0.044715f;
+
+/// out[i] = GELU(x[i]) for i < n through the Padé(7,6) tanh approximant —
+/// the int8 serving path's GELU (llm::TinyLm): the tanh-form argument
+/// clamped to ±4.97, beyond which the approximant and tanh both read ±1 at
+/// fp32; max |error| ~1.9e-4 against the exact form. Unlike Exp, this
+/// kernel fuses: v·v·v·c + v and the two Horner chains use one-rounding
+/// fma, the scalar tier through std::fma at exactly the AVX2 tier's fused
+/// steps, so the tiers still agree bit for bit. NaN propagates; ±inf give
+/// the finite-clamp arithmetic's results on every tier. `out` may alias `x`.
+void GeluPade(const float* x, float* out, int64_t n);
+
 }  // namespace delrec::nn
 
 #endif  // DELREC_NN_VMATH_H_

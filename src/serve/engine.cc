@@ -164,6 +164,7 @@ RecommendationEngine::Stats RecommendationEngine::GetStats() const {
   stats.shed_deadline = shed_deadline_;
   stats.shed_shutdown = shed_shutdown_;
   stats.scorer_failures = scorer_failures_;
+  stats.rejected_invalid = rejected_invalid_;
   stats.swaps_observed = swaps_observed_;
   stats.snapshot_version = last_version_;
   stats.prefix_tokens_skipped = prefix_tokens_skipped_;
@@ -240,11 +241,6 @@ void RecommendationEngine::DispatcherLoop() {
         batch.push_back(std::move(pending));
       }
     }
-    dispatched_requests_ += batch.size();
-    if (!batch.empty()) {
-      dispatched_batches_ += 1;
-      max_batch_ = std::max<uint64_t>(max_batch_, batch.size());
-    }
     lock.unlock();
 
     for (Pending& pending : expired) {
@@ -257,13 +253,54 @@ void RecommendationEngine::DispatcherLoop() {
     // batch scores on the same version, and the shared_ptr keeps that
     // version alive even if a publisher swaps mid-ScoreBatch.
     const SnapshotHandle::Tagged tagged = handle_->Acquire();
+
+    // Check each request against the scorer it would run on: a malformed
+    // one (empty history, out-of-catalog id) resolves alone with
+    // kInvalidArgument rather than failing inside ScoreBatch. A validator
+    // that throws fails only its own request, with kInternal, counted as a
+    // scorer failure.
+    std::vector<Pending> valid;
+    std::vector<std::pair<Pending, util::Status>> invalid;
+    uint64_t validation_faults = 0;
+    valid.reserve(batch.size());
+    for (Pending& pending : batch) {
+      util::Status status;
+      try {
+        status = tagged.scorer->ValidateRequest(pending.request);
+      } catch (const std::exception& e) {
+        status = util::Status::Internal(
+            std::string("scorer validation threw: ") + e.what());
+        ++validation_faults;
+      } catch (...) {
+        status =
+            util::Status::Internal("scorer validation threw a non-exception");
+        ++validation_faults;
+      }
+      if (status.ok()) {
+        valid.push_back(std::move(pending));
+      } else {
+        invalid.emplace_back(std::move(pending), std::move(status));
+      }
+    }
+    batch = std::move(valid);
     {
       std::lock_guard<std::mutex> stats_lock(mutex_);
       if (tagged.version != last_version_) {
         if (last_version_ != 0) ++swaps_observed_;
         last_version_ = tagged.version;
       }
+      rejected_invalid_ += invalid.size() - validation_faults;
+      scorer_failures_ += validation_faults;
+      dispatched_requests_ += batch.size();
+      if (!batch.empty()) {
+        dispatched_batches_ += 1;
+        max_batch_ = std::max<uint64_t>(max_batch_, batch.size());
+      }
     }
+    for (auto& [pending, status] : invalid) {
+      pending.promise.set_value(Rejection(std::move(status)));
+    }
+    if (batch.empty()) continue;
 
     // Fault delivery: an injected dispatch fault or a throwing scorer fails
     // exactly this batch's promises — each pending request still resolves,

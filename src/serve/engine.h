@@ -73,9 +73,12 @@ struct ScoreResponse {
 /// Robustness contract (DESIGN.md §12): every accepted request resolves.
 /// Over-cap and post-shutdown submissions resolve immediately with
 /// kUnavailable; deadline-lapsed requests resolve with kDeadlineExceeded at
-/// dispatch time; a throwing Scorer::ScoreBatch (or an armed
-/// "serve.engine.dispatch" / "serve.scorer.score" failpoint) fails only the
-/// affected batch's promises and the dispatcher keeps running.
+/// dispatch time; requests the batch's scorer rejects
+/// (Scorer::ValidateRequest) resolve alone with kInvalidArgument, and one
+/// whose validation throws resolves alone with kInternal; a throwing
+/// Scorer::ScoreBatch (or an armed "serve.engine.dispatch" /
+/// "serve.scorer.score" failpoint) fails only the affected batch's promises
+/// and the dispatcher keeps running.
 ///
 /// The dispatcher is a dedicated std::thread rather than a util::ThreadPool
 /// task: the scorer's batched forward parallelizes through the global pool
@@ -130,6 +133,10 @@ class RecommendationEngine {
     uint64_t shed_deadline = 0;     // kDeadlineExceeded at dispatch.
     uint64_t shed_shutdown = 0;     // kUnavailable after Shutdown().
     uint64_t scorer_failures = 0;   // Requests failed by a scorer fault.
+    // Malformed requests (Scorer::ValidateRequest failed), resolved alone
+    // with kInvalidArgument and never dispatched. Once every future has
+    // resolved, submitted = scored + shed_* + scorer_failures + this.
+    uint64_t rejected_invalid = 0;
     // Hot-swap observability.
     uint64_t swaps_observed = 0;    // Version changes seen by the dispatcher.
     uint64_t snapshot_version = 0;  // Last version scored against.
@@ -189,6 +196,7 @@ class RecommendationEngine {
   uint64_t shed_deadline_ = 0;
   uint64_t shed_shutdown_ = 0;
   uint64_t scorer_failures_ = 0;
+  uint64_t rejected_invalid_ = 0;
   uint64_t swaps_observed_ = 0;
   uint64_t last_version_ = 0;
   uint64_t prefix_tokens_skipped_ = 0;

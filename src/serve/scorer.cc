@@ -1,5 +1,6 @@
 #include "serve/scorer.h"
 
+#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -43,6 +44,12 @@ class SequentialScorer : public Scorer {
       candidates.push_back(request.candidates);
     }
     return model_->ScoreCandidatesBatch(histories, candidates);
+  }
+
+  util::Status ValidateRequest(const ScoreRequest& request) const override {
+    const int64_t items = model_->item_count();
+    if (items <= 0) return Scorer::ValidateRequest(request);
+    return ValidateRequestIds(request, items, items);
   }
 
   ScorerCapabilities Capabilities() const override {
@@ -116,6 +123,36 @@ std::vector<std::vector<float>> Scorer::ScoreBatch(
     results.push_back(Score(request));
   }
   return results;
+}
+
+util::Status Scorer::ValidateRequest(const ScoreRequest& request) const {
+  if (request.history.empty()) {
+    return util::Status::InvalidArgument("request history is empty");
+  }
+  return util::Status::Ok();
+}
+
+util::Status ValidateRequestIds(const ScoreRequest& request,
+                                int64_t history_items,
+                                int64_t candidate_items) {
+  if (request.history.empty()) {
+    return util::Status::InvalidArgument("request history is empty");
+  }
+  for (int64_t item : request.history) {
+    if (item < 0 || item >= history_items) {
+      return util::Status::InvalidArgument(
+          "history item " + std::to_string(item) + " outside [0, " +
+          std::to_string(history_items) + ")");
+    }
+  }
+  for (int64_t item : request.candidates) {
+    if (item < 0 || item >= candidate_items) {
+      return util::Status::InvalidArgument(
+          "candidate item " + std::to_string(item) + " outside [0, " +
+          std::to_string(candidate_items) + ")");
+    }
+  }
+  return util::Status::Ok();
 }
 
 std::vector<float> Scorer::ScoreCatalog(

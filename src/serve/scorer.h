@@ -10,6 +10,7 @@
 #include "core/delrec.h"
 #include "srmodels/factory.h"
 #include "srmodels/recommender.h"
+#include "util/status.h"
 
 namespace delrec::serve {
 
@@ -68,6 +69,15 @@ class Scorer {
   virtual std::vector<std::vector<float>> ScoreBatch(
       const std::vector<ScoreRequest>& requests) const;
 
+  /// Whether this scorer can score `request`: InvalidArgument naming the
+  /// first bad field when it cannot. The engine asks this per request
+  /// before batching, so a malformed request resolves alone instead of
+  /// CHECK-failing inside ScoreBatch and taking its batch-mates — and the
+  /// process — down with it. The default rejects an empty history (every
+  /// bundled model scores given one); catalog-indexed scorers also bound
+  /// every id (ValidateRequestIds).
+  virtual util::Status ValidateRequest(const ScoreRequest& request) const;
+
   /// What this backend declares it can do. The default is the minimum
   /// every Scorer satisfies: candidate re-scoring only.
   virtual ScorerCapabilities Capabilities() const { return {}; }
@@ -89,6 +99,12 @@ class Scorer {
   /// bit-identical with or without the cache.
   virtual int64_t CachedPrefixLength() const { return 0; }
 };
+
+/// The checks a catalog-indexed scorer applies: a non-empty history whose
+/// ids lie in [0, history_items) and candidate ids in [0, candidate_items).
+util::Status ValidateRequestIds(const ScoreRequest& request,
+                                int64_t history_items,
+                                int64_t candidate_items);
 
 /// Adapts a conventional sequential recommender. `model` must outlive the
 /// scorer and be trained. Declares full-catalog capability (ScoreCatalog =

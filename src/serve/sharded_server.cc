@@ -96,6 +96,7 @@ RecommendationEngine::Stats MergeStats(
     total.shed_deadline += shard.shed_deadline;
     total.shed_shutdown += shard.shed_shutdown;
     total.scorer_failures += shard.scorer_failures;
+    total.rejected_invalid += shard.rejected_invalid;
     total.swaps_observed += shard.swaps_observed;
     total.prefix_tokens_skipped += shard.prefix_tokens_skipped;
     // Merge the per-version attribution by key, never by position: shards

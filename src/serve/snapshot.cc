@@ -211,37 +211,31 @@ std::vector<std::vector<float>> EngineSnapshot::ScoreBatch(
   if (requests.empty()) return {};
   MaybeInjectScorerFault();
   const int64_t n = static_cast<int64_t>(requests.size());
-  std::vector<llm::Prompt> prompts;
-  prompts.reserve(requests.size());
-  for (const ScoreRequest& request : requests) {
-    prompts.push_back(core::inference::BuildScoringPrompt(
-        config_, prompt_builder_, *sources_.sr_model, soft_prompts_,
-        request.history, request.candidates));
-  }
 
-  // Fan the batch out as per-thread sub-batches, each running the stacked
+  // Fan the batch out as per-thread sub-batches, each building its prompts
+  // (the SR hints from one batched backbone call) and running the stacked
   // EncodeBatch pipeline — the intra-batch parallelism a one-at-a-time
-  // caller cannot have. Any partition yields bit-identical scores: row r of
-  // EncodeBatch depends only on its own sequence (composition invariance,
-  // tests/serve_test.cc), so the thread count never shows in the results.
-  // Each chunk owns its slice of `results`; the pool buffers behind the
-  // forwards are mutex-guarded (util::BufferPool).
+  // caller cannot have. Any partition yields bit-identical scores: a
+  // request's hints and row r of EncodeBatch depend only on its own
+  // sequence (composition invariance, tests/serve_test.cc), so the thread
+  // count never shows in the results. Each chunk owns its slice of
+  // `results`; the pool buffers behind the forwards are mutex-guarded
+  // (util::BufferPool).
   std::vector<std::vector<float>> results(requests.size());
   const bool cached = prefix_state_.defined();
-  // Suffix-only pieces (cached path): cut each prompt at its declared
-  // prefix boundary; the cached PrefixState stands in for the head. Kept
-  // alive outside the lambda since EncodeBatchWithPrefix reads pointers.
-  std::vector<llm::SplitPrompt> splits(cached ? requests.size() : 0);
-  if (cached) {
-    for (int64_t i = 0; i < n; ++i) {
-      // Every scoring prompt this config builds shares the one head the
-      // snapshot cached — a mismatch means the prompt templates and the
-      // cache drifted apart, which must never survive a publish.
-      DELREC_CHECK_EQ(prompts[i].prefix_length, prefix_state_.length);
-      splits[i] = llm::PromptBuilder::Split(prompts[i]);
-    }
-  }
   util::ParallelFor(n, [&](int64_t begin, int64_t end, int) {
+    std::vector<std::vector<int64_t>> histories;
+    std::vector<std::vector<int64_t>> candidates;
+    histories.reserve(end - begin);
+    candidates.reserve(end - begin);
+    for (int64_t i = begin; i < end; ++i) {
+      histories.push_back(requests[i].history);
+      candidates.push_back(requests[i].candidates);
+    }
+    const std::vector<llm::Prompt> prompts =
+        core::inference::BuildScoringPrompts(config_, prompt_builder_,
+                                             *sources_.sr_model, soft_prompts_,
+                                             histories, candidates);
     std::vector<const std::vector<llm::PromptPiece>*> pieces;
     pieces.reserve(end - begin);
     std::vector<llm::SequenceSpan> spans;
@@ -249,27 +243,36 @@ std::vector<std::vector<float>> EngineSnapshot::ScoreBatch(
     std::vector<int64_t> mask_rows;
     mask_rows.reserve(end - begin);
     if (cached) {
-      for (int64_t i = begin; i < end; ++i) {
-        pieces.push_back(&splits[i].suffix);
+      // Suffix-only pieces: cut each prompt at its declared prefix
+      // boundary; the cached PrefixState stands in for the head. Every
+      // scoring prompt this config builds shares the one head the snapshot
+      // cached — a mismatch means the prompt templates and the cache
+      // drifted apart, which must never survive a publish.
+      std::vector<llm::SplitPrompt> splits;
+      splits.reserve(prompts.size());
+      for (const llm::Prompt& prompt : prompts) {
+        DELREC_CHECK_EQ(prompt.prefix_length, prefix_state_.length);
+        splits.push_back(llm::PromptBuilder::Split(prompt));
+        pieces.push_back(&splits.back().suffix);
       }
       hidden = llm_->EncodeBatchWithPrefix(prefix_state_, pieces,
                                            effective_table_, &spans);
       // Hidden rows cover only the suffix: re-anchor the mask index.
-      for (int64_t i = begin; i < end; ++i) {
-        mask_rows.push_back(spans[i - begin].begin + prompts[i].mask_position -
+      for (size_t j = 0; j < prompts.size(); ++j) {
+        mask_rows.push_back(spans[j].begin + prompts[j].mask_position -
                             prefix_state_.length);
       }
     } else {
       std::vector<int64_t> prefix_lengths;
-      prefix_lengths.reserve(end - begin);
-      for (int64_t i = begin; i < end; ++i) {
-        pieces.push_back(&prompts[i].pieces);
-        prefix_lengths.push_back(prompts[i].prefix_length);
+      prefix_lengths.reserve(prompts.size());
+      for (const llm::Prompt& prompt : prompts) {
+        pieces.push_back(&prompt.pieces);
+        prefix_lengths.push_back(prompt.prefix_length);
       }
       hidden = llm_->EncodeBatch(pieces, effective_table_, &spans,
                                  &prefix_lengths);
-      for (int64_t i = begin; i < end; ++i) {
-        mask_rows.push_back(spans[i - begin].begin + prompts[i].mask_position);
+      for (size_t j = 0; j < prompts.size(); ++j) {
+        mask_rows.push_back(spans[j].begin + prompts[j].mask_position);
       }
     }
     const nn::Tensor logits =
@@ -282,6 +285,14 @@ std::vector<std::vector<float>> EngineSnapshot::ScoreBatch(
     }
   });
   return results;
+}
+
+util::Status EngineSnapshot::ValidateRequest(
+    const ScoreRequest& request) const {
+  const int64_t catalog = sources_.catalog->item_count();
+  const int64_t sr_items = sources_.sr_model->item_count();
+  return ValidateRequestIds(
+      request, sr_items > 0 ? std::min(catalog, sr_items) : catalog, catalog);
 }
 
 std::vector<int64_t> EngineSnapshot::Recommend(

@@ -114,6 +114,9 @@ class EngineSnapshot : public Scorer {
   std::vector<float> Score(const ScoreRequest& request) const override;
   std::vector<std::vector<float>> ScoreBatch(
       const std::vector<ScoreRequest>& requests) const override;
+  /// History ids must index both the catalog (prompt titles) and the SR
+  /// backbone (hints); candidate ids the catalog (verbalizer).
+  util::Status ValidateRequest(const ScoreRequest& request) const override;
 
   /// Top-k recommendation over a candidate pool, best first.
   std::vector<int64_t> Recommend(const std::vector<int64_t>& history,

@@ -36,6 +36,13 @@ class TwoTierScorer : public Scorer {
     return ScoreImpl(requests);
   }
 
+  // Both tiers read the history; re-ranked candidates are a subset of the
+  // pool the retriever accepted.
+  util::Status ValidateRequest(const ScoreRequest& request) const override {
+    DELREC_RETURN_IF_ERROR(retriever_->ValidateRequest(request));
+    return reranker_->ValidateRequest(request);
+  }
+
   ScorerCapabilities Capabilities() const override {
     return retriever_->Capabilities();
   }

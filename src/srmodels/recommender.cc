@@ -36,9 +36,42 @@ std::vector<std::vector<float>> SequentialRecommender::ScoreCandidatesBatch(
   return out;
 }
 
+std::vector<float> SequentialRecommender::ScoreAllItemsBatch(
+    const std::vector<std::vector<int64_t>>& histories) const {
+  std::vector<std::vector<float>> rows(histories.size());
+  util::ParallelFor(static_cast<int64_t>(histories.size()),
+                    [&](int64_t begin, int64_t end, int) {
+                      for (int64_t i = begin; i < end; ++i) {
+                        rows[i] = ScoreAllItems(histories[i]);
+                      }
+                    });
+  if (rows.empty()) return {};
+  const size_t width = rows.front().size();
+  std::vector<float> out;
+  out.reserve(rows.size() * width);
+  for (const std::vector<float>& row : rows) {
+    DELREC_CHECK_EQ(row.size(), width);
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  return out;
+}
+
 std::vector<int64_t> SequentialRecommender::TopK(
     const std::vector<int64_t>& history, int64_t k) const {
   return TopKFromScores(ScoreAllItems(history), k);
+}
+
+std::vector<std::vector<int64_t>> SequentialRecommender::TopKBatch(
+    const std::vector<std::vector<int64_t>>& histories, int64_t k) const {
+  if (histories.empty()) return {};
+  const std::vector<float> scores = ScoreAllItemsBatch(histories);
+  const int64_t width =
+      static_cast<int64_t>(scores.size() / histories.size());
+  std::vector<std::vector<int64_t>> out(histories.size());
+  for (size_t i = 0; i < histories.size(); ++i) {
+    out[i] = eval::TopK(scores.data() + i * width, width, k);
+  }
+  return out;
 }
 
 std::vector<int64_t> TopKFromScores(const std::vector<float>& scores,

@@ -59,7 +59,8 @@ class SequentialRecommender {
   /// Scores many (history, candidates) pairs. The default fans the
   /// per-sequence forward passes across the util::ParallelConfig thread
   /// budget; models may override with a genuinely batched forward (GRU4Rec
-  /// steps equal-length histories through the cell as one (B, D) sweep).
+  /// steps equal-length histories through the cell as one (B, D) sweep;
+  /// SASRec stacks every window into one graph-free forward).
   /// Either way, output row i is bit-identical to
   /// ScoreCandidates(histories[i], candidates[i]) for every thread count.
   /// Requires scoring to be const-thread-safe, which all bundled models
@@ -68,9 +69,23 @@ class SequentialRecommender {
       const std::vector<std::vector<int64_t>>& histories,
       const std::vector<std::vector<int64_t>>& candidates) const;
 
+  /// Scores every catalog item for many histories: a flat row-major
+  /// (histories.size() × catalog) buffer whose row i is bit-identical to
+  /// ScoreAllItems(histories[i]) for every batch composition, order and
+  /// thread count. The default fans ScoreAllItems out across the
+  /// util::ParallelConfig thread budget, as ScoreCandidatesBatch does; SASRec
+  /// overrides it with one graph-free stacked forward.
+  virtual std::vector<float> ScoreAllItemsBatch(
+      const std::vector<std::vector<int64_t>>& histories) const;
+
   /// Item ids of the k highest-scoring items, best first.
   std::vector<int64_t> TopK(const std::vector<int64_t>& history,
                             int64_t k) const;
+
+  /// TopK for many histories from one ScoreAllItemsBatch call: row i equals
+  /// TopK(histories[i], k).
+  std::vector<std::vector<int64_t>> TopKBatch(
+      const std::vector<std::vector<int64_t>>& histories, int64_t k) const;
 
   /// Number of trainable scalars (RQ5 reporting).
   virtual int64_t ParameterCount() const = 0;

@@ -25,11 +25,17 @@
 #include <thread>
 #include <vector>
 
+#include "core/delrec.h"
+#include "core/workbench.h"
+#include "data/dataset.h"
+#include "llm/tiny_lm.h"
 #include "serve/engine.h"
 #include "serve/scorer.h"
 #include "serve/sharded_server.h"
+#include "serve/snapshot.h"
 #include "serve/snapshot_handle.h"
 #include "serve/two_tier.h"
+#include "srmodels/factory.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -152,6 +158,22 @@ class PrefixFakeScorer : public FakeScorer {
 
  private:
   int64_t prefix_length_;
+};
+
+/// FakeScorer whose ValidateRequest throws for some requests: a
+/// std::exception when the history has exactly two items, a non-exception
+/// when it has exactly three.
+class ThrowingValidatorScorer : public FakeScorer {
+ public:
+  ThrowingValidatorScorer() : FakeScorer(0.5f) {}
+
+  Status ValidateRequest(const serve::ScoreRequest& request) const override {
+    if (request.history.size() == 2) {
+      throw std::runtime_error("synthetic validator failure");
+    }
+    if (request.history.size() == 3) throw 7;
+    return FakeScorer::ValidateRequest(request);
+  }
 };
 
 class AlwaysThrowScorer : public serve::Scorer {
@@ -748,6 +770,163 @@ TEST_F(ServeChaosTest, PrefixTokensByVersionSumAcrossSwaps) {
             uint64_t{kRequestsPerVersion * kPrefixV2});
   EXPECT_EQ(total.prefix_tokens_skipped,
             uint64_t{kRequestsPerVersion * (kPrefixV1 + kPrefixV2)});
+}
+
+uint64_t Accounted(const serve::RecommendationEngine::Stats& stats) {
+  return stats.scored + stats.shed_queue_full + stats.shed_deadline +
+         stats.shed_shutdown + stats.scorer_failures + stats.rejected_invalid;
+}
+
+// Malformed requests on a real snapshot — an empty history, a history id
+// past the catalog, a candidate id past it — each used to CHECK-fail inside
+// ScoreBatch and abort the process. The engine now checks every request
+// against the scorer of its batch: a bad one resolves alone with
+// kInvalidArgument, and its valid batch-mates score exactly as Score()
+// does. The snapshot is untrained (no training time), which the contract
+// does not care about.
+TEST_F(ServeChaosTest, MalformedRequestsResolveAloneWithInvalidArgument) {
+  data::GeneratorConfig data_config = data::KuaiRecConfig();
+  data_config.num_users = 30;
+  data_config.num_items = 40;
+  core::Workbench::Options workbench_options;
+  workbench_options.pretrain_epochs = 0;
+  core::Workbench workbench(data_config, workbench_options);
+  const int64_t items = workbench.num_items();
+  const auto sr_model =
+      srmodels::MakeBackbone(srmodels::Backbone::kSasRec, items, 10, 5);
+  llm::TinyLm llm(workbench.LlmConfigFor(core::LlmSize::kBase), /*seed=*/7);
+  core::DelRecConfig config;
+  config.soft_prompt_count = 4;
+  core::DelRec model(&workbench.dataset().catalog, &workbench.vocab(), &llm,
+                     sr_model.get(), config);
+  serve::EngineSnapshot::Sources sources;
+  sources.catalog = &workbench.dataset().catalog;
+  sources.vocab = &workbench.vocab();
+  sources.sr_model = sr_model.get();
+  auto built = serve::EngineSnapshot::FromModel(model, llm, sources);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::shared_ptr<const serve::EngineSnapshot> snapshot =
+      std::move(built.value());
+
+  // Valid requests interleaved with two of each malformed kind.
+  std::vector<serve::ScoreRequest> requests;
+  std::vector<bool> valid;
+  for (int64_t i = 0; i < 12; ++i) {
+    serve::ScoreRequest request;
+    request.history = {i % items, (3 * i + 1) % items, (7 * i + 2) % items};
+    for (int64_t c = 0; c < 6; ++c) {
+      request.candidates.push_back((i + 5 * c) % items);
+    }
+    switch (i % 6) {
+      case 1:
+        request.history.clear();
+        break;
+      case 3:
+        request.history.push_back(i < 6 ? items : -1);
+        break;
+      case 5:
+        request.candidates.push_back(i < 6 ? items + 3 : -2);
+        break;
+      default:
+        break;
+    }
+    valid.push_back(i % 2 == 0);
+    requests.push_back(std::move(request));
+  }
+  const auto check = [&](const serve::ScoreResponse& response, size_t i) {
+    if (valid[i]) {
+      ASSERT_TRUE(response.status.ok()) << i << ": "
+                                        << response.status.ToString();
+      EXPECT_EQ(response.scores, snapshot->Score(requests[i])) << i;
+    } else {
+      EXPECT_EQ(response.status.code(), Status::Code::kInvalidArgument)
+          << i << ": " << response.status.ToString();
+    }
+  };
+
+  {
+    // A long linger and max_batch_size = all requests: one shared batch.
+    serve::EngineOptions options;
+    options.max_batch_size = static_cast<int64_t>(requests.size());
+    options.batch_deadline_ms = 10000.0;
+    serve::RecommendationEngine engine(snapshot.get(), options);
+    std::vector<std::future<serve::ScoreResponse>> futures;
+    for (const serve::ScoreRequest& request : requests) {
+      futures.push_back(engine.ScoreAsync(request));
+    }
+    for (size_t i = 0; i < futures.size(); ++i) check(futures[i].get(), i);
+    const serve::RecommendationEngine::Stats stats = engine.GetStats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.requests, 6u);
+    EXPECT_EQ(stats.scored, 6u);
+    EXPECT_EQ(stats.rejected_invalid, 6u);
+    EXPECT_EQ(stats.scorer_failures, 0u);
+    EXPECT_EQ(stats.submitted, Accounted(stats));
+  }
+
+  serve::ShardedServerOptions options;
+  options.num_shards = 2;
+  options.engine.max_batch_size = 8;
+  serve::ShardedServer server(snapshot, options);
+  std::vector<std::future<serve::ScoreResponse>> futures;
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+      futures.push_back(server.ScoreAsync(/*user_id=*/i, requests[i]));
+    }
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    check(futures[i].get(), i % requests.size());
+  }
+  server.Shutdown();
+  const serve::RecommendationEngine::Stats total = server.TotalStats();
+  EXPECT_EQ(total.submitted, 24u);
+  EXPECT_EQ(total.scored, 12u);
+  EXPECT_EQ(total.rejected_invalid, 12u);
+  EXPECT_EQ(total.submitted, Accounted(total));
+}
+
+// A validator that throws must not escape the dispatcher: the throwing
+// request resolves alone with kInternal (a scorer failure), its batch-mates
+// still score, and the engine keeps serving.
+TEST_F(ServeChaosTest, ThrowingValidatorFailsOnlyItsRequest) {
+  const ThrowingValidatorScorer scorer;
+  serve::EngineOptions options;
+  options.max_batch_size = 9;
+  options.batch_deadline_ms = 10000.0;
+  serve::RecommendationEngine engine(&scorer, options);
+  std::vector<serve::ScoreRequest> requests;
+  for (int64_t i = 0; i < 9; ++i) {
+    serve::ScoreRequest request;
+    request.history.assign(static_cast<size_t>(1 + i % 3), i);
+    request.candidates = {i, i + 1, i + 2};
+    requests.push_back(std::move(request));
+  }
+  // Two full batches: the second shows the dispatcher survived the first.
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::future<serve::ScoreResponse>> futures;
+    for (const serve::ScoreRequest& request : requests) {
+      futures.push_back(engine.ScoreAsync(request));
+    }
+    for (size_t i = 0; i < futures.size(); ++i) {
+      const serve::ScoreResponse response = futures[i].get();
+      if (requests[i].history.size() == 1) {
+        ASSERT_TRUE(response.status.ok()) << i << ": "
+                                          << response.status.ToString();
+        EXPECT_EQ(response.scores, scorer.Score(requests[i])) << i;
+      } else {
+        EXPECT_EQ(response.status.code(), Status::Code::kInternal)
+            << i << ": " << response.status.ToString();
+      }
+    }
+  }
+
+  const serve::RecommendationEngine::Stats stats = engine.GetStats();
+  EXPECT_EQ(stats.submitted, 18u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.scored, 6u);
+  EXPECT_EQ(stats.scorer_failures, 12u);
+  EXPECT_EQ(stats.rejected_invalid, 0u);
+  EXPECT_EQ(stats.submitted, Accounted(stats));
 }
 
 }  // namespace

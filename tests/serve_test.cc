@@ -5,6 +5,7 @@
 // recommender paradigm fits behind the unified Scorer interface.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -29,6 +30,7 @@
 #include "srmodels/factory.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace delrec {
 namespace {
@@ -175,6 +177,69 @@ TEST_F(ServeTest, ScoreBatchInvariantUnderBatchComposition) {
     }
     EXPECT_EQ(batched, reference) << "batch_size=" << batch_size;
   }
+}
+
+/// Forwards to a real backbone and counts how the SR-hint channel reaches
+/// it: per-history ScoreAllItems (what TopK calls) versus batched
+/// ScoreAllItemsBatch (what TopKBatch calls). The name is the inner model's,
+/// so hint phrases — and therefore prompts and scores — are unchanged.
+class CountingRecommender : public srmodels::SequentialRecommender {
+ public:
+  explicit CountingRecommender(const srmodels::SequentialRecommender* inner)
+      : inner_(inner) {}
+
+  std::string name() const override { return inner_->name(); }
+  util::Status Train(const std::vector<data::Example>&,
+                     const srmodels::TrainConfig&) override {
+    return util::Status::Ok();
+  }
+  std::vector<float> ScoreAllItems(
+      const std::vector<int64_t>& history) const override {
+    ++single_calls;
+    return inner_->ScoreAllItems(history);
+  }
+  std::vector<float> ScoreAllItemsBatch(
+      const std::vector<std::vector<int64_t>>& histories) const override {
+    ++batch_calls;
+    return inner_->ScoreAllItemsBatch(histories);
+  }
+  int64_t ParameterCount() const override { return inner_->ParameterCount(); }
+  int64_t item_count() const override { return inner_->item_count(); }
+
+  mutable std::atomic<int> single_calls{0};
+  mutable std::atomic<int> batch_calls{0};
+
+ private:
+  const srmodels::SequentialRecommender* inner_;
+};
+
+// ScoreBatch draws the SR hints of a whole chunk from one batched backbone
+// call: n requests on one thread make exactly one ScoreAllItemsBatch call
+// and no per-request TopK, with scores identical to the plain snapshot.
+TEST_F(ServeTest, ScoreBatchMakesOneBatchedSrHintCall) {
+  CountingRecommender counting(sr_model_);
+  serve::EngineSnapshot::Sources sources = Sources();
+  sources.sr_model = &counting;
+  auto counted = serve::EngineSnapshot::FromModel(*model_, *llm_, sources);
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  const auto reference = Snapshot();
+  const std::vector<serve::ScoreRequest> requests = MakeRequests(12);
+  const std::vector<std::vector<float>> expected =
+      reference->ScoreBatch(requests);
+
+  {
+    util::ScopedParallelism serial(1);
+    EXPECT_EQ(counted.value()->ScoreBatch(requests), expected);
+    EXPECT_EQ(counting.batch_calls.load(), 1);
+    EXPECT_EQ(counting.single_calls.load(), 0);
+  }
+  // With a thread budget, one batched call per ParallelFor chunk.
+  counting.batch_calls = 0;
+  util::ScopedParallelism parallel(4, /*min_work_per_dispatch=*/1);
+  EXPECT_EQ(counted.value()->ScoreBatch(requests), expected);
+  EXPECT_GE(counting.batch_calls.load(), 1);
+  EXPECT_LE(counting.batch_calls.load(), 4);
+  EXPECT_EQ(counting.single_calls.load(), 0);
 }
 
 // The prefix KV cache is a pure throughput/footprint trade: a snapshot with

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -10,7 +11,9 @@
 #include "data/dataset.h"
 #include "data/split.h"
 #include "eval/protocol.h"
+#include "nn/gemm.h"
 #include "nn/module.h"
+#include "nn/tensor.h"
 #include "srmodels/bert4rec.h"
 #include "srmodels/caser.h"
 #include "srmodels/factory.h"
@@ -19,6 +22,7 @@
 #include "srmodels/sasrec.h"
 #include "srmodels/simple.h"
 #include "util/failpoint.h"
+#include "util/rng.h"
 #include "util/status.h"
 #include "util/threadpool.h"
 
@@ -275,6 +279,109 @@ TEST_F(SrModelsTest, Gru4RecBatchedSweepIsBitIdenticalToPerRow) {
     util::ScopedParallelism parallel(threads, /*min_work_per_dispatch=*/1);
     EXPECT_EQ(model.ScoreCandidatesBatch(histories, candidates), reference)
         << "threads=" << threads;
+  }
+}
+
+// Ragged histories for the batched-forward tests: lengths 1..max_length+3
+// (so the window truncation runs) with repeated items, drawn from the test
+// split's items.
+std::vector<std::vector<int64_t>> RaggedHistories(
+    const std::vector<data::Example>& examples, int64_t max_length,
+    int64_t count) {
+  std::vector<std::vector<int64_t>> histories;
+  for (int64_t i = 0; i < count; ++i) {
+    const std::vector<int64_t>& source =
+        examples[i % examples.size()].history;
+    std::vector<int64_t> history;
+    const int64_t length = 1 + i % (max_length + 3);
+    for (int64_t j = 0; j < length; ++j) {
+      // Every third position repeats its predecessor.
+      history.push_back(j % 3 == 2 ? history.back()
+                                   : source[(i + j) % source.size()]);
+    }
+    histories.push_back(std::move(history));
+  }
+  return histories;
+}
+
+// SASRec has one inference forward: a graph-free, row-stacked pass whose
+// rows must equal the autograd TrainingLogits reference bit for bit, for any
+// batch composition and order, thread count and GEMM tier.
+TEST_F(SrModelsTest, SasRecBatchedForwardMatchesTrainingLogits) {
+  constexpr int64_t kMaxLength = 10;
+  SasRec model(dataset_->catalog.size(), 32, kMaxLength, 2, 2, 3);
+  TrainConfig config = BackboneTrainConfig(Backbone::kSasRec);
+  config.epochs = 1;
+  ASSERT_TRUE(model.Train(splits_->train, config).ok());
+
+  std::vector<std::vector<int64_t>> histories =
+      RaggedHistories(splits_->test, kMaxLength, 26);
+  const auto reference_of = [&](const std::vector<int64_t>& history) {
+    nn::NoGradGuard no_grad;
+    util::Rng rng(0);
+    return model.TrainingLogits(history, 0.0f, rng).data();
+  };
+  util::Rng shuffle(5);
+  for (const std::string& isa : nn::GemmSupportedIsas()) {
+    nn::ScopedGemmIsa pin(isa);
+    for (int threads : {1, 4}) {
+      util::ScopedParallelism parallel(threads, /*min_work_per_dispatch=*/1);
+      shuffle.Shuffle(histories);
+      const std::vector<float> batched = model.ScoreAllItemsBatch(histories);
+      const size_t items = dataset_->catalog.size();
+      ASSERT_EQ(batched.size(), histories.size() * items);
+      for (size_t i = 0; i < histories.size(); ++i) {
+        const std::vector<float> row(batched.begin() + i * items,
+                                     batched.begin() + (i + 1) * items);
+        EXPECT_EQ(row, reference_of(histories[i]))
+            << "isa=" << isa << " threads=" << threads << " length "
+            << histories[i].size();
+        EXPECT_EQ(model.ScoreAllItems(histories[i]), row);
+      }
+      // A sub-batch (another composition) reads the same rows.
+      const std::vector<std::vector<int64_t>> head(histories.begin(),
+                                                   histories.begin() + 5);
+      const std::vector<float> sub = model.ScoreAllItemsBatch(head);
+      EXPECT_TRUE(std::equal(sub.begin(), sub.end(), batched.begin()))
+          << "isa=" << isa << " threads=" << threads;
+    }
+  }
+
+  // The base class's candidate path reads the same forward.
+  std::vector<std::vector<int64_t>> candidates;
+  for (size_t i = 0; i < histories.size(); ++i) {
+    candidates.push_back({0, static_cast<int64_t>(i), 7, 3});
+  }
+  const std::vector<std::vector<float>> gathered =
+      model.ScoreCandidatesBatch(histories, candidates);
+  for (size_t i = 0; i < histories.size(); ++i) {
+    EXPECT_EQ(gathered[i], model.ScoreCandidates(histories[i], candidates[i]));
+  }
+}
+
+// TopKBatch is one ScoreAllItemsBatch call plus a per-row eval::TopK: it
+// must order exactly like per-history TopK, for SASRec's own batched
+// forward and for the default per-history fallback.
+TEST_F(SrModelsTest, TopKBatchMatchesTopK) {
+  const int64_t items = dataset_->catalog.size();
+  std::vector<std::unique_ptr<SequentialRecommender>> models;
+  models.push_back(std::make_unique<SasRec>(items, 32, 10, 2, 2, 3));
+  models.push_back(std::make_unique<Gru4Rec>(items, 16, 3));
+  models.push_back(std::make_unique<Caser>(items, 16, 10, 4, 2, 3));
+  const std::vector<std::vector<int64_t>> histories =
+      RaggedHistories(splits_->test, 10, 20);
+  for (const auto& model : models) {
+    for (int threads : {1, 4}) {
+      util::ScopedParallelism parallel(threads, /*min_work_per_dispatch=*/1);
+      const std::vector<std::vector<int64_t>> batched =
+          model->TopKBatch(histories, 5);
+      ASSERT_EQ(batched.size(), histories.size());
+      for (size_t i = 0; i < histories.size(); ++i) {
+        EXPECT_EQ(batched[i], model->TopK(histories[i], 5))
+            << model->name() << " threads=" << threads;
+      }
+    }
+    EXPECT_TRUE(model->TopKBatch({}, 5).empty());
   }
 }
 

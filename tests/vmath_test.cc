@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -130,6 +131,56 @@ TEST(VmathTest, ExpTiersAgreeBitwise) {
       ASSERT_TRUE(SameBits(out[i], scalar[i]))
           << isa << " vs " << isas.back() << " at x=" << x[i];
     }
+  }
+}
+
+std::vector<float> GeluPadeOnTier(const std::string& isa,
+                                  const std::vector<float>& x) {
+  ScopedGemmIsa pin(isa);
+  std::vector<float> out(x.size());
+  GeluPade(x.data(), out.data(), static_cast<int64_t>(x.size()));
+  return out;
+}
+
+// The int8 path's Padé GELU fuses (fma) where its AVX2 kernel does; the
+// scalar tier must reproduce those bits exactly — over 2²⁰ N(0, 2) inputs,
+// the special values, and every length whose tail the vector kernel hands
+// to the scalar form — so int8 scores do not depend on the host.
+TEST(VmathTest, GeluPadeTiersAgreeBitwise) {
+  util::Rng rng(11);
+  std::vector<float> x(1 << 20);
+  for (float& v : x) v = static_cast<float>(rng.Normal(0.0, 2.0));
+  const std::vector<float> specials = {0.0f,   -0.0f, kInf,  -kInf, kNaN,
+                                       4.97f,  -4.97f, 4.97e3f, -4.97e3f,
+                                       1e-30f, -1e-30f};
+  x.insert(x.end(), specials.begin(), specials.end());
+  const std::vector<std::string> isas = GemmSupportedIsas();
+  const std::vector<float> scalar = GeluPadeOnTier(isas.back(), x);
+  for (const std::string& isa : isas) {
+    const std::vector<float> out = GeluPadeOnTier(isa, x);
+    int64_t mismatches = 0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      mismatches += SameBits(out[i], scalar[i]) ? 0 : 1;
+    }
+    EXPECT_EQ(mismatches, 0) << isa << " vs " << isas.back();
+    // NaN propagates on every tier; ±inf and ±0 agree (checked above).
+    EXPECT_TRUE(std::isnan(out[x.size() - specials.size() + 4])) << isa;
+    for (int64_t n = 1; n <= 15; ++n) {
+      const std::vector<float> tail(x.begin() + 3, x.begin() + 3 + n);
+      const std::vector<float> got = GeluPadeOnTier(isa, tail);
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(SameBits(got[i], scalar[3 + i]))
+            << isa << " length " << n << " at x=" << tail[i];
+      }
+    }
+  }
+  // And the approximation stays within its documented error of the exact
+  // tanh-form GELU.
+  std::vector<float> exact(x.size());
+  GeluRows(x.data(), exact.data(), static_cast<int64_t>(x.size()));
+  for (size_t i = 0; i + specials.size() < x.size(); ++i) {
+    ASSERT_NEAR(scalar[i], exact[i], 2e-4f * std::max(1.0f, std::fabs(x[i])))
+        << "x=" << x[i];
   }
 }
 
